@@ -40,9 +40,10 @@ Usage::
     python benchmarks/bench_analysis.py --min-throughput-ratio 1.0
 
 ``--min-throughput-ratio R`` fails the run unless the measured
-decode+classify rate reaches ``R x`` the recorded pre-overhaul
-baseline in ``BENCH_analysis.json`` (CI runs the quick rung this way,
-with ``--workers 2`` pinning the sharded-vs-serial verify).
+decode+classify and full-scenario rates each reach ``R x`` the
+recorded pre-overhaul baseline in ``BENCH_analysis.json`` (CI runs
+the quick rung this way, with ``--workers 2`` pinning the
+sharded-vs-serial verify).
 ``--verify`` runs only the equivalence checks — fast-vs-naive and
 sharded-vs-serial at every ``--workers`` count — and writes nothing.
 
@@ -421,26 +422,31 @@ def run_config(
     return result
 
 
+#: Throughputs floored against the recorded baseline block: the bare
+#: decode+classify read path, and the full collector scenario on top.
+FLOORED_METRICS = ("decode_classify_obs_per_sec", "scenario_obs_per_sec")
+
+
 def check_throughput_floor(runs, baseline: dict, min_ratio: float) -> None:
-    """Fail unless decode+classify clears min_ratio x the baseline."""
-    recorded = baseline.get("decode_classify_obs_per_sec", {})
+    """Fail unless every floored rate clears min_ratio x the baseline."""
     problems = []
-    for run in runs:
-        before = recorded.get(run["scenario"])
-        if not before:
-            continue
-        ratio = run["decode_classify_obs_per_sec"] / before
-        print(
-            f"{run['scenario']}: {ratio:.2f}x the recorded pre-overhaul"
-            f" baseline ({before:,.0f} obs/s)"
-        )
-        if ratio < min_ratio:
-            problems.append(
-                f"{run['scenario']}:"
-                f" {run['decode_classify_obs_per_sec']:,.0f} obs/s is"
-                f" {ratio:.2f}x baseline {before:,.0f} (floor"
-                f" {min_ratio})"
+    for metric in FLOORED_METRICS:
+        recorded = baseline.get(metric, {})
+        for run in runs:
+            before = recorded.get(run["scenario"])
+            if not before:
+                continue
+            ratio = run[metric] / before
+            print(
+                f"{run['scenario']} {metric}: {ratio:.2f}x the recorded"
+                f" pre-overhaul baseline ({before:,.0f} obs/s)"
             )
+            if ratio < min_ratio:
+                problems.append(
+                    f"{run['scenario']} {metric}:"
+                    f" {run[metric]:,.0f} obs/s is {ratio:.2f}x baseline"
+                    f" {before:,.0f} (floor {min_ratio})"
+                )
     if problems:
         raise SystemExit(
             "read-path throughput floor violated:\n  "
@@ -507,8 +513,9 @@ def main(argv=None) -> int:
         "--min-throughput-ratio",
         type=float,
         default=None,
-        help="fail unless decode+classify reaches this fraction of the"
-        " recorded baseline (CI uses 1.0; default: report only)",
+        help="fail unless decode+classify and the full scenario reach"
+        " this fraction of the recorded baseline (CI uses 1.0;"
+        " default: report only)",
     )
     parser.add_argument(
         "--baseline",

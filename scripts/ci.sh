@@ -170,9 +170,10 @@ echo "== smoke: read-path benchmark (verify + baseline floor) =="
 # and off — and requires bit-identical fingerprints and classification
 # counts; --workers 2 additionally requires the parallel sharded
 # decode to fingerprint identically to the serial pass with zero
-# fallbacks.  The floor asserts decode+classify is no worse than the
-# recorded pre-overhaul baseline (the overhauled path runs at ~4x, so
-# 1.0 leaves plenty of headroom for shared-box noise).
+# fallbacks.  The floor asserts decode+classify and the full collector
+# scenario are no worse than the recorded pre-overhaul baseline (both
+# run at ~3x it or more, so 1.0 leaves plenty of headroom for
+# shared-box noise).
 python benchmarks/bench_analysis.py --quick --min-throughput-ratio 1.0 \
     --workers 2 \
     --baseline BENCH_analysis.json \

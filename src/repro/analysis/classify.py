@@ -131,6 +131,15 @@ class TypeCounts:
         """Count one classified announcement."""
         self.counts[announcement_type] += 1
 
+    def tally(self, observation: Observation, announcement_type) -> None:
+        """Count one observation under the type its classifier gave."""
+        if announcement_type is not None:
+            self.counts[announcement_type] += 1
+        elif observation.is_withdrawal:
+            self.withdrawals += 1
+        else:
+            self.unclassified_first += 1
+
     def merge(self, other: "TypeCounts") -> "TypeCounts":
         """Accumulate *other* into self (returns self for chaining)."""
         for kind, value in other.counts.items():

@@ -30,7 +30,7 @@ from repro.analysis.classify import (
     UpdateClassifier,
 )
 from repro.analysis.observations import Observation
-from repro.analysis.tables import build_table2
+from repro.netbase.prefix import Prefix
 
 
 class ScenarioContext:
@@ -66,8 +66,12 @@ class MetricCollector:
     def start(self, context: ScenarioContext) -> None:
         """Called once before any event is delivered."""
 
-    def observe(self, observation: Observation) -> None:
-        """One per-prefix collector observation (internet runs)."""
+    def observe(self, observation: Observation, announcement_type) -> None:
+        """One per-prefix collector observation (internet runs).
+
+        *announcement_type* is the proxy's §5 type for it: ``None`` for
+        withdrawals and first-on-stream announcements.
+        """
 
     def observe_lab(self, result) -> None:
         """One lab :class:`ExperimentResult` (lab runs)."""
@@ -101,6 +105,10 @@ class MetricCollector:
 class CollectorProxy:
     """Fans events out to every attached collector.
 
+    The proxy owns the run's one §5 :class:`UpdateClassifier`: each
+    observation is typed once here and the type handed to every
+    collector, so no collector classifies on its own.
+
     Usable directly as a pipeline sink: :meth:`push` is
     :meth:`observe`, so the engine can terminate a live observation
     stream with the proxy itself.
@@ -114,6 +122,7 @@ class CollectorProxy:
         self.collectors: "List[MetricCollector]" = list(collectors)
         #: Observations delivered so far (mid-run progress indicator).
         self.observed = 0
+        self._classifier = UpdateClassifier()
 
     def start(self, context: ScenarioContext) -> None:
         for collector in self.collectors:
@@ -121,8 +130,9 @@ class CollectorProxy:
 
     def observe(self, observation: Observation) -> None:
         self.observed += 1
+        announcement_type = self._classifier.observe(observation)
         for collector in self.collectors:
-            collector.observe(observation)
+            collector.observe(observation, announcement_type)
 
     def observe_lab(self, result) -> None:
         for collector in self.collectors:
@@ -213,15 +223,15 @@ class UpdateCountsCollector(MetricCollector):
     supports_merge = True
 
     def __init__(self):
-        self._classifier = UpdateClassifier()
+        self._counts = TypeCounts()
         self._observations = 0
 
-    def observe(self, observation: Observation) -> None:
+    def observe(self, observation, announcement_type) -> None:
         self._observations += 1
-        self._classifier.observe(observation)
+        self._counts.tally(observation, announcement_type)
 
     def finish(self) -> dict:
-        counts = self._classifier.counts
+        counts = self._counts
         return {
             "observations": self._observations,
             "announcements": counts.announcements_total,
@@ -234,12 +244,12 @@ class UpdateCountsCollector(MetricCollector):
     def export_state(self) -> dict:
         return {
             "observations": self._observations,
-            "classifier": self._classifier.export_state(),
+            "classifier": {"counts": self._counts.to_dict()},
         }
 
     def merge_state(self, state: dict) -> None:
         self._observations += int(state["observations"])
-        self._classifier.merge_state(state["classifier"])
+        self._counts.merge(TypeCounts.from_dict(state["classifier"]["counts"]))
 
 
 @collector
@@ -253,16 +263,21 @@ class CommunityPrevalenceCollector(MetricCollector):
         self._announcements = 0
         self._with_communities = 0
         self._unique_16bit = set()
+        self._seen_sets: set = set()
 
-    def observe(self, observation: Observation) -> None:
+    def observe(self, observation, announcement_type) -> None:
         if not observation.is_announcement:
             return
         self._announcements += 1
-        if observation.communities.is_empty():
+        communities = observation.communities
+        if communities.is_empty():
             return
         self._with_communities += 1
-        for community in observation.communities.classic:
-            self._unique_16bit.add(community.value)
+        if communities not in self._seen_sets:
+            self._seen_sets.add(communities)
+            self._unique_16bit.update(
+                community.value for community in communities.classic
+            )
 
     def finish(self) -> dict:
         share = (
@@ -299,13 +314,13 @@ class DuplicatesCollector(MetricCollector):
     supports_merge = True
 
     def __init__(self):
-        self._classifier = UpdateClassifier()
+        self._counts = TypeCounts()
 
-    def observe(self, observation: Observation) -> None:
-        self._classifier.observe(observation)
+    def observe(self, observation, announcement_type) -> None:
+        self._counts.tally(observation, announcement_type)
 
     def finish(self) -> dict:
-        counts = self._classifier.counts
+        counts = self._counts
         total = counts.classified_total
         nn = counts.counts[AnnouncementType.NN]
         nc = counts.counts[AnnouncementType.NC]
@@ -319,10 +334,10 @@ class DuplicatesCollector(MetricCollector):
         }
 
     def export_state(self) -> dict:
-        return {"classifier": self._classifier.export_state()}
+        return {"classifier": {"counts": self._counts.to_dict()}}
 
     def merge_state(self, state: dict) -> None:
-        self._classifier.merge_state(state["classifier"])
+        self._counts.merge(TypeCounts.from_dict(state["classifier"]["counts"]))
 
 
 def _canonical_path(path) -> tuple:
@@ -350,11 +365,12 @@ def _canonical_path(path) -> tuple:
 class Table1Collector(MetricCollector):
     """The paper's Table 1 dataset overview.
 
-    Accumulates incrementally in the canonical exportable forms
-    (prefix strings, session tuples, canonical path tuples) instead of
-    buffering every observation, so memory tracks the number of
-    *distinct* entities rather than feed length — and a shard's whole
-    state serializes for the parallel-decode merge.
+    Accumulates incrementally instead of buffering every observation,
+    so memory tracks the number of *distinct* entities rather than
+    feed length.  Prefixes stay the interned :class:`Prefix` objects,
+    stringified only by :meth:`export_state`; sessions and paths are
+    kept as canonical tuples.  A shard's whole state thus serializes
+    for the parallel-decode merge.
     """
 
     name = "table1"
@@ -365,9 +381,9 @@ class Table1Collector(MetricCollector):
         self._v6: set = set()
         self._ases: set = set()
         self._sessions: set = set()
-        self._peers: set = set()
         self._paths: set = set()
         self._communities_16bit: set = set()
+        self._seen_sets: set = set()
         self._announcements = 0
         self._with_communities = 0
         self._withdrawals = 0
@@ -376,17 +392,16 @@ class Table1Collector(MetricCollector):
         # canonical form keeps this collector O(1) per observation.
         self._canonical_memo: dict = {}
 
-    def observe(self, observation: Observation) -> None:
+    def observe(self, observation, announcement_type) -> None:
         session = observation.session
         self._sessions.add(
             (session.collector, int(session.peer_asn), session.peer_address)
         )
-        self._peers.add(int(session.peer_asn))
         prefix = observation.prefix
         if prefix.version == 4:
-            self._v4.add(str(prefix))
+            self._v4.add(prefix)
         else:
-            self._v6.add(str(prefix))
+            self._v6.add(prefix)
         if observation.is_withdrawal:
             self._withdrawals += 1
             return
@@ -400,10 +415,14 @@ class Table1Collector(MetricCollector):
             if canonical not in self._paths:
                 self._paths.add(canonical)
                 self._ases.update(int(asn) for asn in path.asns())
-        if not observation.communities.is_empty():
+        communities = observation.communities
+        if not communities.is_empty():
             self._with_communities += 1
-            for community in observation.communities.classic:
-                self._communities_16bit.add(community.value)
+            if communities not in self._seen_sets:
+                self._seen_sets.add(communities)
+                self._communities_16bit.update(
+                    community.value for community in communities.classic
+                )
 
     def finish(self) -> dict:
         announcements = self._announcements
@@ -415,7 +434,7 @@ class Table1Collector(MetricCollector):
             "ipv6_prefixes": len(self._v6),
             "ases": len(self._ases),
             "sessions": len(self._sessions),
-            "peers": len(self._peers),
+            "peers": len({session[1] for session in self._sessions}),
             "announcements": announcements,
             "with_communities": self._with_communities,
             "unique_16bit_communities": len(self._communities_16bit),
@@ -426,11 +445,11 @@ class Table1Collector(MetricCollector):
 
     def export_state(self) -> dict:
         return {
-            "v4": sorted(self._v4),
-            "v6": sorted(self._v6),
+            "v4": sorted(str(prefix) for prefix in self._v4),
+            "v6": sorted(str(prefix) for prefix in self._v6),
             "ases": sorted(self._ases),
             "sessions": sorted(list(item) for item in self._sessions),
-            "peers": sorted(self._peers),
+            "peers": sorted({session[1] for session in self._sessions}),
             "paths": sorted(
                 [list(segment) for segment in path] for path in self._paths
             ),
@@ -441,11 +460,10 @@ class Table1Collector(MetricCollector):
         }
 
     def merge_state(self, state: dict) -> None:
-        self._v4.update(state["v4"])
-        self._v6.update(state["v6"])
+        self._v4.update(Prefix(text) for text in state["v4"])
+        self._v6.update(Prefix(text) for text in state["v6"])
         self._ases.update(state["ases"])
         self._sessions.update(tuple(item) for item in state["sessions"])
-        self._peers.update(state["peers"])
         self._paths.update(
             tuple(tuple(segment) for segment in path)
             for path in state["paths"]
@@ -456,6 +474,17 @@ class Table1Collector(MetricCollector):
         self._withdrawals += int(state["withdrawals"])
 
 
+def _total(parts: "Iterable[TypeCounts]") -> TypeCounts:
+    total = TypeCounts()
+    for part in parts:
+        total.merge(part)
+    return total
+
+
+def _shares(counts: TypeCounts) -> dict:
+    return {kind.value: counts.share(kind) for kind in TYPE_ORDER}
+
+
 @collector
 class Table2Collector(MetricCollector):
     """The paper's Table 2 announcement-type shares (full + beacons)."""
@@ -463,14 +492,15 @@ class Table2Collector(MetricCollector):
     name = "table2"
     #: Mergeable for MRT replays: no simulation means no beacon
     #: schedule, so the beacon subset is vacuously empty and only the
-    #: full-feed counts need to travel (export classifies the shard's
-    #: buffered observations; the per-stream state stays shard-local).
+    #: full-feed counts need to travel.
     supports_merge = True
 
     def __init__(self):
-        self._observations: "List[Observation]" = []
+        # Types are per (session, prefix) stream, so the beacon column
+        # is exactly the sum over beacon prefixes, learnt at finish.
+        self._by_prefix: "Dict[Prefix, TypeCounts]" = {}
+        self._merged = TypeCounts()
         self._context: "Optional[ScenarioContext]" = None
-        self._merged: "Optional[TypeCounts]" = None
 
     def start(self, context: ScenarioContext) -> None:
         # Keep the reference, not a copy: under live streaming the
@@ -478,52 +508,33 @@ class Table2Collector(MetricCollector):
         # scheduled them, which is after start() fires.
         self._context = context
 
-    def observe(self, observation: Observation) -> None:
-        self._observations.append(observation)
+    def observe(self, observation, announcement_type) -> None:
+        counts = self._by_prefix.get(observation.prefix)
+        if counts is None:
+            counts = self._by_prefix[observation.prefix] = TypeCounts()
+        counts.tally(observation, announcement_type)
+
+    def _full(self) -> TypeCounts:
+        return _total([self._merged, *self._by_prefix.values()])
 
     def finish(self) -> dict:
-        if self._merged is not None:
-            # Merged shard counts: same output as a serial beacon-free
-            # run, where empty beacons make the subset column None.
-            return {
-                "full_shares": {
-                    kind.value: self._merged.share(kind)
-                    for kind in TYPE_ORDER
-                },
-                "beacon_shares": None,
-                "classified": self._merged.classified_total,
-            }
-        beacons = (
-            set(self._context.beacon_prefixes)
-            if self._context is not None
-            else set()
-        )
-        table = build_table2(
-            self._observations, beacons if beacons else None
-        )
-        full = {
-            kind.value: table.full.share(kind) for kind in TYPE_ORDER
-        }
-        beacon = (
-            {kind.value: table.beacon.share(kind) for kind in TYPE_ORDER}
-            if table.beacon is not None
-            else None
+        full = self._full()
+        beacons = self._context.beacon_prefixes if self._context else ()
+        beacon = _total(
+            counts
+            for prefix, counts in self._by_prefix.items()
+            if prefix in beacons
         )
         return {
-            "full_shares": full,
-            "beacon_shares": beacon,
-            "classified": table.full.classified_total,
+            "full_shares": _shares(full),
+            "beacon_shares": _shares(beacon) if beacons else None,
+            "classified": full.classified_total,
         }
 
     def export_state(self) -> dict:
-        classifier = UpdateClassifier()
-        for observation in self._observations:
-            classifier.observe(observation)
-        return {"full": classifier.counts.to_dict()}
+        return {"full": self._full().to_dict()}
 
     def merge_state(self, state: dict) -> None:
-        if self._merged is None:
-            self._merged = TypeCounts()
         self._merged.merge(TypeCounts.from_dict(state["full"]))
 
 
@@ -542,13 +553,11 @@ class DampingReplayCollector(MetricCollector):
         from repro.simulator.damping import RouteDamper
 
         self._damper = RouteDamper()
-        self._classifier = UpdateClassifier()
-        self._passed = {kind: 0 for kind in AnnouncementType}
-        self._suppressed = {kind: 0 for kind in AnnouncementType}
+        self._passed = TypeCounts()
+        self._suppressed = TypeCounts()
 
-    def observe(self, observation: Observation) -> None:
+    def observe(self, observation, announcement_type) -> None:
         key = str(observation.session)
-        announcement_type = self._classifier.observe(observation)
         if observation.is_withdrawal:
             self._damper.penalize(
                 key,
@@ -569,21 +578,20 @@ class DampingReplayCollector(MetricCollector):
         if self._damper.is_suppressed(
             key, observation.prefix, observation.timestamp
         ):
-            self._suppressed[announcement_type] += 1
+            self._suppressed.add(announcement_type)
         else:
-            self._passed[announcement_type] += 1
+            self._passed.add(announcement_type)
 
     def finish(self) -> dict:
-        total = sum(self._passed.values()) + sum(
-            self._suppressed.values()
-        )
-        damped = sum(self._suppressed.values())
+        damped = self._suppressed.classified_total
+        total = self._passed.classified_total + damped
         return {
             "announcements": total,
             "damped": damped,
             "damped_share": damped / total if total else 0.0,
             "damped_by_type": {
-                kind.value: self._suppressed[kind] for kind in TYPE_ORDER
+                kind.value: self._suppressed.counts[kind]
+                for kind in TYPE_ORDER
             },
             "suppress_events": self._damper.suppressions,
             "releases": self._damper.releases,

@@ -315,3 +315,166 @@ class TestSnapshotSeeding:
         for obs in observations_from_collector(collector):
             classifier.observe(obs)
         assert classifier.seed_from_snapshot(snapshot, "rrc0") == 0
+
+
+# ----------------------------------------------------------------------
+# literal §5 reference
+# ----------------------------------------------------------------------
+def _path_tokens(text):
+    """The raw AS path: ASNs in order, each AS_SET one frozenset token."""
+    tokens = []
+    for token in (text or "").split():
+        if token.startswith("{"):
+            members = token.strip("{}").split(",")
+            tokens.append(frozenset(int(asn) for asn in members))
+        else:
+            tokens.append(int(token))
+    return tuple(tokens)
+
+
+def _without_prepending(tokens):
+    """The path with every run of one repeated ASN collapsed to one."""
+    collapsed = []
+    for token in tokens:
+        if isinstance(token, int) and collapsed and collapsed[-1] == token:
+            continue
+        collapsed.append(token)
+    return tuple(collapsed)
+
+
+def literal_types(feed):
+    """The paper's §5 definitions, transcribed straight from the text.
+
+    *feed* holds ``(stream, withdrawal, path_text, community_text)`` in
+    arrival order.  Each announcement is compared with the previous
+    announcement on its (session, prefix) stream.  First letter: ``n``
+    when the AS path is unchanged, ``x`` when it changed but is equal
+    once prepending is collapsed, else ``p``.  Second letter: ``n`` when
+    the community set is equal, else ``c``.  Withdrawals and the first
+    announcement on a stream get no type; withdrawals reset nothing.
+    """
+    previous = {}
+    types = []
+    for stream, withdrawal, path_text, community_text in feed:
+        if withdrawal:
+            types.append(None)
+            continue
+        path = _path_tokens(path_text)
+        communities = frozenset(community_text.split())
+        last = previous.get(stream)
+        previous[stream] = (path, communities)
+        if last is None:
+            types.append(None)
+            continue
+        last_path, last_communities = last
+        if path == last_path:
+            path_letter = "n"
+        elif _without_prepending(path) == _without_prepending(last_path):
+            path_letter = "x"
+        else:
+            path_letter = "p"
+        community_letter = "n" if communities == last_communities else "c"
+        types.append(AnnouncementType(path_letter + community_letter))
+    return types
+
+
+# Few small ASNs, so independent paths collide now and then.
+_PATH_TOKEN = st.one_of(
+    st.integers(min_value=1, max_value=3).map(str),
+    st.sets(
+        st.integers(min_value=1, max_value=3), min_size=1, max_size=2
+    ).map(lambda members: "{" + ",".join(map(str, members)) + "}"),
+)
+
+
+@st.composite
+def path_pool(draw):
+    """Four path texts: absent, unrelated, or a prepend variant of one
+    shared base path (so ``x`` types are common)."""
+    base = draw(st.lists(_PATH_TOKEN, min_size=1, max_size=4))
+    pool = []
+    for _ in range(4):
+        shape = draw(st.sampled_from(["none", "random", "variant", "variant"]))
+        if shape == "none":
+            pool.append(None)
+        elif shape == "random":
+            pool.append(" ".join(draw(st.lists(_PATH_TOKEN, max_size=5))))
+        else:
+            tokens = []
+            for token in base:
+                repeat = 1
+                if not token.startswith("{"):
+                    repeat = draw(st.integers(min_value=1, max_value=3))
+                tokens.extend([token] * repeat)
+            pool.append(" ".join(tokens))
+    return pool
+
+
+class TestLiteralReference:
+    """``UpdateClassifier`` against the straight-line §5 transcription."""
+
+    SESSIONS = (SESSION, SessionKey("rrc01", 3356, "10.0.0.2"))
+    PREFIXES = (PREFIX, Prefix("2001:db8::/32"))
+
+    community_text = st.lists(
+        st.sampled_from(["100:1", "100:2", "3356:3", "1:2:3"]),
+        unique=True,
+        max_size=3,
+    ).map(" ".join)
+    event = st.tuples(
+        st.integers(min_value=0, max_value=3),  # stream
+        st.sampled_from([False, False, False, True]),  # withdrawal
+        st.integers(min_value=0, max_value=3),  # path pool index
+        st.integers(min_value=0, max_value=3),  # community pool index
+        st.booleans(),  # fresh path object instead of the interned one
+        st.booleans(),  # fresh community object
+    )
+
+    @given(
+        path_pool(),
+        st.lists(community_text, min_size=4, max_size=4),
+        st.lists(event, min_size=10, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_classifier_matches_literal_definitions(
+        self, paths, communities, events
+    ):
+        def make_path(text):
+            return None if text is None else ASPath.from_string(text)
+
+        interned_paths = [make_path(text) for text in paths]
+        interned_sets = [CommunitySet.parse(text) for text in communities]
+        feed = []
+        observations = []
+        for index, event in enumerate(events):
+            stream, withdrawal, path, community, fresh_path, fresh_set = event
+            session = self.SESSIONS[stream % 2]
+            prefix = self.PREFIXES[stream // 2]
+            feed.append(
+                (stream, withdrawal, paths[path], communities[community])
+            )
+            if withdrawal:
+                observations.append(withdraw(index, session, prefix))
+                continue
+            observations.append(
+                Observation(
+                    timestamp=index,
+                    session=session,
+                    prefix=prefix,
+                    kind=ObservationKind.ANNOUNCE,
+                    as_path=(
+                        make_path(paths[path])
+                        if fresh_path
+                        else interned_paths[path]
+                    ),
+                    communities=(
+                        CommunitySet.parse(communities[community])
+                        if fresh_set
+                        else interned_sets[community]
+                    ),
+                )
+            )
+        classifier = UpdateClassifier()
+        assert [
+            classifier.observe(observation) for observation in observations
+        ] == literal_types(feed)

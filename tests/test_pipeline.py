@@ -12,7 +12,11 @@ import json
 import pytest
 
 from repro.analysis.cleaning import CleaningPipeline, CleaningReport
-from repro.analysis.classify import UpdateClassifier
+from repro.analysis.classify import (
+    TYPE_ORDER,
+    AnnouncementType,
+    UpdateClassifier,
+)
 from repro.analysis.observations import (
     StreamGrouper,
     group_into_streams,
@@ -35,6 +39,7 @@ from repro.pipeline import (
 from repro.scenarios import get_scenario, make_collectors, run_scenario
 from repro.scenarios.collectors import ScenarioContext
 from repro.scenarios.engine import internet_config_from_spec
+from repro.simulator.damping import RouteDamper
 from repro.simulator.session import BGPSession
 from repro.workloads import InternetModel
 
@@ -293,25 +298,30 @@ def _batch_metrics(spec):
     return proxy.finish()
 
 
+def _test_sized(name):
+    """The registered spec, damping-replay shrunk to test size."""
+    spec = get_scenario(name)
+    if name == "damping-replay":
+        import dataclasses
+
+        spec = dataclasses.replace(
+            spec,
+            internet=dataclasses.replace(
+                spec.internet,
+                tier1_count=2,
+                transit_count=3,
+                stub_count=6,
+            ),
+        )
+    return spec
+
+
 class TestLiveStreamingEquivalence:
     @pytest.mark.parametrize(
         "name", ["topology-tiny", "damping-replay"]
     )
     def test_live_metrics_match_batch(self, name):
-        spec = get_scenario(name)
-        if name == "damping-replay":
-            # Shrink to test size; the equivalence claim is the point.
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                internet=dataclasses.replace(
-                    spec.internet,
-                    tier1_count=2,
-                    transit_count=3,
-                    stub_count=6,
-                ),
-            )
+        spec = _test_sized(name)
         BGPSession._counter = 0
         live = run_scenario(spec).metrics
         BGPSession._counter = 0
@@ -319,6 +329,54 @@ class TestLiveStreamingEquivalence:
         assert json.dumps(live, sort_keys=True) == json.dumps(
             batch, sort_keys=True
         )
+
+    def test_damping_collector_matches_standalone_replay(self):
+        # The collector takes its types from the proxy; a loop owning
+        # its own classifier and damper must reach the same numbers.
+        spec = _test_sized("damping-replay")
+        BGPSession._counter = 0
+        damping = run_scenario(spec).metrics["damping"]
+        BGPSession._counter = 0
+        day = InternetModel(internet_config_from_spec(spec)).run()
+        observations = []
+        for collector in day.collectors():
+            observations.extend(observations_from_collector(collector))
+        observations.sort(key=lambda obs: obs.timestamp)
+
+        classifier = UpdateClassifier()
+        damper = RouteDamper()
+        damped = {kind: 0 for kind in AnnouncementType}
+        announcements = 0
+        for obs in observations:
+            kind = classifier.observe(obs)
+            peer = str(obs.session)
+            if obs.is_withdrawal:
+                damper.penalize(
+                    peer, obs.prefix, obs.timestamp, is_withdrawal=True
+                )
+                continue
+            if kind is None:
+                continue
+            if kind is not AnnouncementType.NN:
+                damper.penalize(
+                    peer, obs.prefix, obs.timestamp, is_withdrawal=False
+                )
+            announcements += 1
+            if damper.is_suppressed(peer, obs.prefix, obs.timestamp):
+                damped[kind] += 1
+
+        assert damper.suppressions > 0
+        total_damped = sum(damped.values())
+        assert damping == {
+            "announcements": announcements,
+            "damped": total_damped,
+            "damped_share": total_damped / announcements,
+            "damped_by_type": {
+                kind.value: damped[kind] for kind in TYPE_ORDER
+            },
+            "suppress_events": damper.suppressions,
+            "releases": damper.releases,
+        }
 
     def test_bounded_policies_do_not_change_metrics(self):
         import dataclasses

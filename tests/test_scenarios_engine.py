@@ -3,7 +3,11 @@
 import pytest
 
 from repro.analysis import build_table2, observations_from_collector
-from repro.analysis.classify import TYPE_ORDER
+from repro.analysis.classify import (
+    TYPE_ORDER,
+    AnnouncementType,
+    classify_observations,
+)
 from repro.scenarios import (
     InternetSpec,
     LabSpec,
@@ -84,7 +88,7 @@ class TestLabEquivalence:
 
 class TestInternetEquivalence:
     def test_engine_matches_direct_model_run(self):
-        spec = tiny_spec()
+        spec = tiny_spec(collectors=("update_counts", "duplicates", "table2"))
         result = run_scenario(spec)
 
         day = InternetModel(internet_config_from_spec(spec)).run()
@@ -102,6 +106,25 @@ class TestInternetEquivalence:
         assert result.metrics["update_counts"]["observations"] == len(
             observations
         )
+
+        # The proxy types each observation once and fans the type out;
+        # every collector must still agree with an independent batch
+        # classification of the same feed.
+        assert table2.beacon.classified_total > 0
+        assert result.metrics["table2"]["beacon_shares"] == {
+            kind.value: table2.beacon.share(kind) for kind in TYPE_ORDER
+        }
+        counts = classify_observations(observations)
+        update_counts = result.metrics["update_counts"]
+        assert update_counts["types"] == {
+            kind.value: counts.counts[kind] for kind in TYPE_ORDER
+        }
+        assert update_counts["announcements"] == counts.announcements_total
+        assert update_counts["withdrawals"] == counts.withdrawals
+        duplicates = result.metrics["duplicates"]
+        assert duplicates["classified"] == counts.classified_total
+        assert duplicates["nn"] == counts.counts[AnnouncementType.NN]
+        assert duplicates["nc"] == counts.counts[AnnouncementType.NC]
 
     def test_identical_specs_identical_results(self):
         first = run_scenario(tiny_spec())
