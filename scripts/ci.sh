@@ -46,29 +46,41 @@ python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
 
 echo
 echo "== smoke: every execution backend =="
-for BACKEND in serial threads processes; do
+for BACKEND in serial processes queue; do
     python -m repro scenario sweep topology-tiny --seeds 1,2 --workers 2 \
         --backend "$BACKEND" --cache-dir "$CACHE_DIR/backend-$BACKEND"
 done
 
 echo
-echo "== smoke: sharded sweep, killed cell, resume round trip =="
-# Shard 0 of 2 computes only its slice of the 4-seed sweep; shard 1's
-# cells stay pending in the shared manifest (as if that invocation was
-# killed before it started).  Then simulate a cell lost to a mid-write
-# kill by deleting one completed cache entry, and let --resume finish
-# the whole sweep from the manifest alone.
-SHARD_CACHE="$CACHE_DIR/sharded"
-python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
-    --shard 0/2 --backend serial --cache-dir "$SHARD_CACHE"
-FIRST_CELL="$(ls "$SHARD_CACHE"/*.json | grep -v sweep.json | head -n 1)"
+echo "== smoke: killed coordinator, lost cell, resume round trip =="
+# A serial sweep runs its cells in the coordinator, so a kill rule at
+# sweep.cell on seed3 takes the whole invocation down after seeds 1-2
+# finished; the manifest, saved before any cell ran, lists cells 3-4
+# as pending.  Then simulate a cell lost to a mid-write kill by
+# deleting one completed cache entry, and let --resume finish the
+# whole sweep from the manifest alone.
+RESUME_CACHE="$CACHE_DIR/resumed"
+cat > "$CACHE_DIR/coordinator-kill-plan.json" <<'EOF'
+{"seed": 1,
+ "rules": [{"site": "sweep.cell", "match": "topology-tiny@seed3",
+            "action": "kill"}]}
+EOF
+if REPRO_FAULT_PLAN="$CACHE_DIR/coordinator-kill-plan.json" \
+    python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
+    --backend serial --cache-dir "$RESUME_CACHE"; then
+    echo "the kill rule must take the serial coordinator down" >&2
+    exit 1
+fi
+# Exactly seeds 1-2 reached the cache before the kill.
+test "$(ls "$RESUME_CACHE"/*.json | grep -vc sweep.json)" -eq 2
+FIRST_CELL="$(ls "$RESUME_CACHE"/*.json | grep -v sweep.json | head -n 1)"
 rm -f "$FIRST_CELL"
-python -m repro scenario sweep --resume --cache-dir "$SHARD_CACHE" \
+python -m repro scenario sweep --resume --cache-dir "$RESUME_CACHE" \
     --workers 2
-# A final serial pass must be served entirely from the shared cache —
-# the N cooperating invocations converged to the full sweep.
+# A final serial pass must be served entirely from the cache: the
+# killed sweep plus its resume converged to the full sweep.
 python -m repro scenario sweep topology-tiny --seeds 1,2,3,4 \
-    --backend serial --cache-dir "$SHARD_CACHE" \
+    --backend serial --cache-dir "$RESUME_CACHE" \
     | tee "$CACHE_DIR/converged.txt"
 grep -q "4 hit(s), 0 miss(es)" "$CACHE_DIR/converged.txt"
 
@@ -76,8 +88,8 @@ echo
 echo "== smoke: sweep status view =="
 # The human table goes to stderr; --json puts the machine payload on
 # stdout, where it must parse and agree that every cell finished.
-python -m repro scenario sweep --status --cache-dir "$SHARD_CACHE"
-python -m repro scenario sweep --status --cache-dir "$SHARD_CACHE" \
+python -m repro scenario sweep --status --cache-dir "$RESUME_CACHE"
+python -m repro scenario sweep --status --cache-dir "$RESUME_CACHE" \
     --json | python -c '
 import json, sys
 status = json.load(sys.stdin)

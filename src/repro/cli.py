@@ -66,6 +66,8 @@ def _emit_json(document) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
+    from repro.scenarios.backends import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -230,18 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep.add_argument(
         "--backend",
-        choices=("serial", "threads", "processes", "queue"),
+        choices=BACKEND_NAMES,
         default="processes",
         help="execution backend for cache misses (default: processes)",
-    )
-    scenario_sweep.add_argument(
-        "--shard",
-        default=None,
-        metavar="I/N",
-        help=(
-            "run only shard I of N (deterministic spec-hash partition;"
-            " cooperating invocations share --cache-dir)"
-        ),
     )
     scenario_sweep.add_argument(
         "--queue-dir",
@@ -277,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock budget per cell; a cell running longer is"
-            " reaped (processes) or abandoned (threads), charged one"
-            " attempt, and retried while --max-retries allows"
+            "wall-clock budget per cell, honoured by --backend"
+            " processes only; a cell running longer is reaped, charged"
+            " one attempt, and retried while --max-retries allows"
         ),
     )
     scenario_sweep.add_argument(
@@ -302,15 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
             "times a pool broken by a dying worker is rebuilt wholesale"
             " (unreplied cells resubmitted, nobody charged) before"
             " remaining cells run isolated one-per-pool (default 1)"
-        ),
-    )
-    scenario_sweep.add_argument(
-        "--speculate",
-        action="store_true",
-        help=(
-            "duplicate straggler cells onto idle lanes and let the"
-            " first finisher win (safe: payloads are deterministic and"
-            " cache writes are idempotent by digest)"
         ),
     )
     scenario_sweep.add_argument(
@@ -770,7 +754,6 @@ def _scenario_sweep(arguments) -> int:
         expand_seeds,
         get_scenario,
         make_backend,
-        parse_shard,
         result_to_json,
         resume_sweep,
         run_sweep,
@@ -799,11 +782,6 @@ def _scenario_sweep(arguments) -> int:
             )
 
     try:
-        shard = (
-            parse_shard(arguments.shard)
-            if arguments.shard is not None
-            else None
-        )
         queue_dir = arguments.queue_dir
         if arguments.backend == "queue" and queue_dir is None:
             if arguments.cache_dir is None:
@@ -825,7 +803,6 @@ def _scenario_sweep(arguments) -> int:
             )
         backend = make_backend(
             arguments.backend,
-            shard=shard,
             queue_dir=queue_dir,
             **backend_kwargs,
         )
@@ -850,7 +827,6 @@ def _scenario_sweep(arguments) -> int:
                 cell_timeout=arguments.cell_timeout,
                 retry_backoff=arguments.retry_backoff,
                 pool_rebuilds=arguments.pool_rebuilds,
-                speculate=arguments.speculate,
             )
         else:
             if arguments.name is None:
@@ -886,7 +862,6 @@ def _scenario_sweep(arguments) -> int:
                 cell_timeout=arguments.cell_timeout,
                 retry_backoff=arguments.retry_backoff,
                 pool_rebuilds=arguments.pool_rebuilds,
-                speculate=arguments.speculate,
             )
     except (UnknownScenarioError, ScenarioValidationError) as exc:
         message = exc.args[0] if exc.args else str(exc)
@@ -933,8 +908,8 @@ def _scenario_sweep(arguments) -> int:
     if report.skipped:
         _emit(
             f"cooperating: {report.skipped} cell(s) left to other"
-            f" invocations (shared cache converges once every shard or"
-            f" queue claimant has run)"
+            f" invocations (shared cache converges once every queue"
+            f" claimant has run)"
         )
     if report.failures:
         if report.cache_dir is not None:

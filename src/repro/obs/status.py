@@ -284,8 +284,7 @@ def collect_sweep_status(
     if median_wall is not None and median_wall > 0:
         for cell in status.cells:
             # Lost cells are excluded: they are not slow, they are
-            # gone — speculating on them would duplicate dead work's
-            # journal trail, and they already stand out in the table.
+            # gone, and they already stand out in the table.
             if (
                 cell.state == "running"
                 and cell.elapsed_seconds is not None

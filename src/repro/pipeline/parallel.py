@@ -162,11 +162,10 @@ def try_sharded_replay(
     ]
     # Late import: backends sits above the pipeline layer (it imports
     # the scenario engine, which imports this package).
-    from repro.scenarios.backends import make_backend
+    from repro.scenarios.backends import ProcessBackend
 
     try:
-        backend = make_backend("processes")
-        replies_json = backend.map_json(
+        replies_json = ProcessBackend().map_json(
             decode_shard_json, jobs, workers=workers
         )
         replies = [json.loads(reply) for reply in replies_json]

@@ -21,12 +21,12 @@ declarative contract and one engine:
   community prevalence, duplicate rates, Table 1/2, damping replay,
   lab matrix);
 * :mod:`repro.scenarios.backends` — pluggable sweep execution
-  backends (``serial`` / ``threads`` / ``processes`` / ``sharded`` /
-  ``queue``) behind one :class:`ExecutionBackend` interface;
+  backends (``serial`` / ``processes`` / ``queue``) behind one
+  :class:`ExecutionBackend` interface;
 * :mod:`repro.scenarios.scheduler` — fault-tolerant pool scheduling
-  for the executor backends: crash containment with pool rebuilds and
-  isolation, per-cell wall-clock timeouts, deterministic retry
-  backoff and speculative re-dispatch of stragglers;
+  for the process backend: crash containment with pool rebuilds and
+  isolation, per-cell wall-clock timeouts and deterministic retry
+  backoff;
 * :mod:`repro.scenarios.runner` — a fault-tolerant, resumable sweep
   runner with per-spec result caching keyed on a stable spec hash
   and an on-disk ``sweep.json`` manifest, so N-seed sweeps use every
@@ -57,13 +57,9 @@ from repro.scenarios.backends import (
     ProcessBackend,
     QueueBackend,
     SerialBackend,
-    ShardedBackend,
     SweepJob,
-    ThreadBackend,
     backoff_delay,
     make_backend,
-    parse_shard,
-    shard_of,
 )
 from repro.scenarios.scheduler import PoolScheduler, SchedulerConfig
 from repro.scenarios.collectors import (
@@ -128,13 +124,9 @@ __all__ = [
     "QueueBackend",
     "SchedulerConfig",
     "SerialBackend",
-    "ShardedBackend",
     "SweepJob",
-    "ThreadBackend",
     "backoff_delay",
     "make_backend",
-    "parse_shard",
-    "shard_of",
     "CollectorProxy",
     "MetricCollector",
     "ScenarioContext",

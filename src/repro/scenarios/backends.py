@@ -2,7 +2,7 @@
 
 The sweep runner used to be welded to one ``ProcessPoolExecutor``.
 This module turns "how do the cells of a sweep actually execute" into
-a small strategy interface, :class:`ExecutionBackend`, with four
+a small strategy interface, :class:`ExecutionBackend`, with three
 implementations:
 
 ``serial``
@@ -11,40 +11,22 @@ implementations:
     reference implementation the determinism suite measures the other
     backends against.
 
-``threads``
-    A ``ThreadPoolExecutor``.  Simulations are pure-Python CPU-bound
-    work, so threads buy nothing for the classic kinds — but ``mrt``
-    replay cells spend their time in file I/O and future remote
-    sources will spend it on sockets, and those overlap fine under
-    the GIL.
-
 ``processes``
     A ``ProcessPoolExecutor`` — the original behavior, refactored
     onto the interface.  The right default for CPU-bound sweeps.
 
-``sharded``
-    A deterministic partitioner wrapped around any inner backend.
-    Shard ``i`` of ``n`` owns a cell iff
-    ``shard_of(digest, n) == i``; everything else is left untouched
-    for the other ``n - 1`` invocations.  Because ownership is a pure
-    function of the spec hash, independent invocations — separate
-    shells, cron jobs, machines over a shared filesystem — cooperate
-    through the shared spec-hash cache without ever talking to each
-    other.
-
 ``queue``
-    A shared work directory instead of a pre-agreed partition: every
-    invocation enqueues the sweep's cells as job files, then claims
-    them one at a time by atomic rename.  N invocations pointed at
-    the same directory — separate shells, machines over NFS — drain
-    the matrix dynamically, each cell computed exactly once, with no
-    coordinator process.  The first rung of the remote backend.
+    A shared work directory: every invocation enqueues the sweep's
+    cells as job files, then claims them one at a time by atomic
+    rename.  N invocations pointed at the same directory — separate
+    shells, machines over NFS — drain the matrix dynamically, each
+    cell computed exactly once, with no coordinator process.  The
+    first rung of the remote backend.
 
-The two pool backends do not drive their executors directly: they
-hand the batch to :class:`repro.scenarios.scheduler.PoolScheduler`,
-which contains worker crashes (one dead worker no longer fails the
-whole batch), enforces per-cell wall-clock timeouts, and can
-speculatively re-dispatch straggler cells.
+The process backend does not drive its executor directly: it hands
+the batch to :class:`repro.scenarios.scheduler.PoolScheduler`, which
+contains worker crashes (one dead worker no longer fails the whole
+batch) and enforces per-cell wall-clock timeouts.
 
 Every backend speaks the same job protocol: a :class:`SweepJob` is
 ``(digest, name, spec JSON)``, an outcome is either a result JSON
@@ -65,10 +47,7 @@ import os
 import time
 import traceback as traceback_module
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -76,9 +55,9 @@ from repro import durable, faults
 from repro.obs import metrics as obs_metrics
 from repro.scenarios.engine import run_scenario_json
 
-#: Names accepted by :func:`make_backend` (``sharded`` additionally
-#: needs a ``shard=(index, count)``; ``queue`` needs a ``queue_dir``).
-BACKEND_NAMES = ("serial", "threads", "processes", "sharded", "queue")
+#: Names accepted by :func:`make_backend` (``queue`` additionally
+#: needs a ``queue_dir``).
+BACKEND_NAMES = ("serial", "processes", "queue")
 
 #: Ceiling on any single retry-backoff sleep, seconds.
 BACKOFF_CAP = 30.0
@@ -181,17 +160,15 @@ OutcomeHook = Callable[[JobOutcome], None]
 
 
 def attempt_job(
-    args: "Tuple[str, str, str, int, Optional[str]]",
+    args: "Tuple[str, str, str, int, Optional[str], float]",
 ) -> "Tuple[str, Optional[str], Optional[str], Optional[str], int, float, float]":
     """Worker entry point shared by every backend.
 
-    Takes ``(name, digest, spec_json, max_retries, journal_path[,
-    retry_backoff])`` and returns ``(digest, result_json, error,
+    Takes ``(name, digest, spec_json, max_retries, journal_path,
+    retry_backoff)`` and returns ``(digest, result_json, error,
     traceback, attempts, started_at, finished_at)`` — plain picklable
-    tuples in both directions so the same function runs inline, on a
-    thread or in a pool process.  The trailing ``retry_backoff`` is
-    optional so older call sites (and journal replays of them) keep
-    working.  Exceptions never propagate: they are retried up to
+    tuples in both directions so the same function runs inline or in
+    a pool process.  Exceptions never propagate: they are retried up to
     ``max_retries`` times — sleeping :func:`backoff_delay` between
     attempts instead of hammering a transient resource failure in a
     tight loop — and then reported as data, so one broken cell cannot
@@ -203,8 +180,7 @@ def attempt_job(
     retries and backoff sleeps) and never the time the job sat queued
     behind a busy pool.
     """
-    name, digest, spec_json, max_retries, journal_path, *extra = args
-    retry_backoff = float(extra[0]) if extra else 0.0
+    name, digest, spec_json, max_retries, journal_path, retry_backoff = args
     # repro: allow(DET002) wall-clock stamps feed the manifest/status view only; result payloads never carry them (the determinism harness pins this)
     started_at = time.time()
     attempts = 0
@@ -290,36 +266,16 @@ class ExecutionBackend(ABC):
     ) -> "List[JobOutcome]":
         """Execute *jobs* and return one outcome per executed job.
 
-        A sharding backend may execute fewer jobs than it was given;
-        jobs it does not own simply have no outcome.  ``on_outcome``
-        fires once per outcome, from the coordinating thread, as soon
-        as that outcome is known — the runner uses it to checkpoint
-        the cache and manifest so a killed sweep loses at most the
-        cells that were mid-flight.  ``scheduling`` is an optional
+        The queue backend may execute fewer jobs than it was given:
+        cells a live peer invocation holds simply have no outcome.
+        ``on_outcome`` fires once per outcome, from the coordinating
+        thread, as soon as that outcome is known — the runner uses it
+        to checkpoint the cache and manifest so a killed sweep loses
+        at most the cells that were mid-flight.  ``scheduling`` is an optional
         :class:`repro.scenarios.scheduler.SchedulerConfig`; backends
-        honor the knobs they can (pools: timeouts, rebuild budget,
-        speculation; serial and queue: the retry backoff) and ignore
-        the rest.
+        honor the knobs they can (processes: timeouts and rebuild
+        budget; all three: the retry backoff) and ignore the rest.
         """
-
-    def map_json(
-        self,
-        task: "Callable[[str], str]",
-        payloads: "Sequence[str]",
-        *,
-        workers: int = 1,
-    ) -> "List[str]":
-        """Apply a JSON-string task to every payload, in payload order.
-
-        The light sibling of :meth:`run_jobs` for the parallel MRT
-        decode: same strings-only contract (*task* must be a picklable
-        module-level function taking and returning JSON text), but no
-        retry/outcome machinery — callers that fan decode shards out
-        handle failure by falling back to serial, so a raising worker
-        simply propagates.  The base implementation is the in-process
-        serial loop; pool backends override it.
-        """
-        return [task(payload) for payload in payloads]
 
 
 class SerialBackend(ExecutionBackend):
@@ -349,23 +305,20 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared scheduling front end for the two executor-pool backends.
+class ProcessBackend(ExecutionBackend):
+    """Process pool — the CPU-bound default (the original behavior).
 
     Execution is delegated to
     :class:`repro.scenarios.scheduler.PoolScheduler`, which contains
-    worker crashes (one dead worker used to break the whole executor
-    and fail every in-flight and queued cell as ``worker died`` with
-    ``attempts=1``), enforces per-cell timeouts and can speculate on
-    stragglers.  Outcomes come back in original job order.
+    worker crashes (a dead worker fails at most its own cell, never
+    the batch) and enforces per-cell timeouts.  Outcomes come back in
+    original job order.
     """
 
-    #: Whether a stuck worker can actually be killed (processes) or
-    #: only abandoned (threads).
-    reapable = False
+    name = "processes"
 
     def _make_pool(self, workers: int):
-        raise NotImplementedError
+        return ProcessPoolExecutor(max_workers=workers)
 
     def run_jobs(
         self, jobs, *, workers=1, max_retries=0, on_outcome=None,
@@ -378,22 +331,17 @@ class _PoolBackend(ExecutionBackend):
         from repro.scenarios.scheduler import PoolScheduler, SchedulerConfig
 
         config = scheduling or SchedulerConfig(retry_backoff=0.0)
-        if (
-            (workers == 1 or len(jobs) == 1)
-            and config.cell_timeout is None
-            and not config.speculate
-        ):
-            # One lane with no scheduling to do is just the serial
-            # loop; skip the pool overhead (and, for processes, the
-            # fork) entirely.  The determinism suite pins that this
-            # shortcut changes no payload byte.
+        if (workers == 1 or len(jobs) == 1) and config.cell_timeout is None:
+            # One lane with no timeout to enforce is just the serial
+            # loop; skip the pool overhead and the fork entirely.  The
+            # determinism suite pins that this shortcut changes no
+            # payload byte.
             return SerialBackend().run_jobs(
                 jobs, max_retries=max_retries, on_outcome=on_outcome,
                 scheduling=scheduling,
             )
         scheduler = PoolScheduler(
             make_pool=self._make_pool,
-            reapable=self.reapable,
             workers=min(workers, len(jobs)),
             max_retries=max_retries,
             on_outcome=on_outcome,
@@ -401,95 +349,30 @@ class _PoolBackend(ExecutionBackend):
         )
         return scheduler.run(jobs)
 
-    def map_json(self, task, payloads, *, workers=1):
+    def map_json(
+        self,
+        task: "Callable[[str], str]",
+        payloads: "Sequence[str]",
+        *,
+        workers: int = 1,
+    ) -> "List[str]":
+        """Apply a JSON-string task to every payload, in payload order.
+
+        The light sibling of :meth:`run_jobs` for the parallel MRT
+        decode: same strings-only contract (*task* must be a picklable
+        module-level function taking and returning JSON text), but no
+        retry/outcome machinery — callers that fan decode shards out
+        handle failure by falling back to serial, so a raising worker
+        simply propagates.
+        """
         if workers <= 1 or len(payloads) <= 1:
             # Mirror run_jobs' one-lane shortcut: skip the pool (and
-            # for processes, the fork) when it cannot buy parallelism.
+            # the fork) when it cannot buy parallelism.
             return [task(payload) for payload in payloads]
         with self._make_pool(min(workers, len(payloads))) as pool:
             # Executor.map preserves payload order, so replies line up
             # with their shards no matter which worker finished first.
             return list(pool.map(task, payloads))
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread pool — for I/O-bound cells (mrt replay, remote feeds)."""
-
-    name = "threads"
-    reapable = False
-
-    def _make_pool(self, workers: int):
-        return ThreadPoolExecutor(max_workers=workers)
-
-
-class ProcessBackend(_PoolBackend):
-    """Process pool — the CPU-bound default (the original behavior)."""
-
-    name = "processes"
-    reapable = True
-
-    def _make_pool(self, workers: int):
-        return ProcessPoolExecutor(max_workers=workers)
-
-
-def shard_of(digest: str, shard_count: int) -> int:
-    """Which shard owns a spec hash.  Pure, stable, order-free.
-
-    Keying on the digest (not the position in the spec list) means
-    ownership survives reordering, deduplication and sweep growth —
-    two invocations never compute the same cell twice, and no cell is
-    orphaned, as long as they agree on ``shard_count``.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count!r}")
-    return int(digest[:8], 16) % shard_count
-
-
-class ShardedBackend(ExecutionBackend):
-    """Deterministic partition of a sweep across cooperating runs."""
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        shard_index: int,
-        shard_count: int,
-        inner: "Optional[ExecutionBackend]" = None,
-    ):
-        if shard_count < 1:
-            raise ValueError(
-                f"shard count must be >= 1, got {shard_count!r}"
-            )
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(
-                f"shard index must be in [0, {shard_count}),"
-                f" got {shard_index!r}"
-            )
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.inner = inner if inner is not None else ProcessBackend()
-
-    def owns(self, digest: str) -> bool:
-        """True when this shard is responsible for *digest*."""
-        return shard_of(digest, self.shard_count) == self.shard_index
-
-    def run_jobs(
-        self, jobs, *, workers=1, max_retries=0, on_outcome=None,
-        scheduling=None,
-    ):
-        owned = [job for job in jobs if job.digest and self.owns(job.digest)]
-        return self.inner.run_jobs(
-            owned,
-            workers=workers,
-            max_retries=max_retries,
-            on_outcome=on_outcome,
-            scheduling=scheduling,
-        )
-
-    def map_json(self, task, payloads, *, workers=1):
-        # Decode shards are not sweep cells: the partition is already
-        # decided by the shard plan, so delegate execution untouched.
-        return self.inner.map_json(task, payloads, workers=workers)
 
 
 class QueueBackend(ExecutionBackend):
@@ -517,9 +400,9 @@ class QueueBackend(ExecutionBackend):
     A cell another invocation already finished is *adopted*: its
     ``done/`` record is folded into this invocation's outcomes (and
     thereby the shared cache/manifest) without recomputation.  Cells
-    still claimed by a live peer are left to it — like a sharded
-    invocation, this one simply reports them as skipped; the peers
-    converge through the shared cache.
+    still claimed by a live peer are left to it — this invocation
+    simply reports them as skipped; the peers converge through the
+    shared cache.
 
     Stale-claim requeue ships **armed** (``stale_claim_seconds``
     defaults to :data:`DEFAULT_STALE_CLAIM_SECONDS`; pass ``None`` to
@@ -815,34 +698,16 @@ class QueueBackend(ExecutionBackend):
             ):
                 continue
             # Everything left is claimed by a live peer: leave it to
-            # them, sharded-style — the shared cache/manifest is where
-            # the invocations converge.
+            # them — the shared cache/manifest is where the
+            # invocations converge.
             break
         order = {job.digest: index for index, job in enumerate(jobs)}
         outcomes.sort(key=lambda outcome: order[outcome.job.digest])
         return outcomes
 
 
-def parse_shard(text: str) -> "Tuple[int, int]":
-    """Parse a CLI ``--shard I/N`` value into ``(index, count)``."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(
-            f"shard must look like I/N (e.g. 0/4), got {text!r}"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(
-            f"shard index must be in [0, count) with count >= 1,"
-            f" got {text!r}"
-        )
-    return index, count
-
-
 _FACTORIES: "Dict[str, Callable[[], ExecutionBackend]]" = {
     "serial": SerialBackend,
-    "threads": ThreadBackend,
     "processes": ProcessBackend,
 }
 
@@ -855,32 +720,22 @@ _STALE_UNSET = object()
 def make_backend(
     backend: "ExecutionBackend | str | None" = None,
     *,
-    shard: "Optional[Tuple[int, int]]" = None,
     queue_dir: "Optional[str]" = None,
     stale_claim_seconds=_STALE_UNSET,
 ) -> ExecutionBackend:
-    """Resolve a backend name/instance, optionally wrapped in a shard.
+    """Resolve a backend name or instance.
 
-    ``None`` means the default (``processes``).  ``shard=(i, n)``
-    wraps whatever was chosen in a :class:`ShardedBackend`, so
-    ``--backend threads --shard 1/4`` composes the way you'd hope.
-    ``queue`` needs *queue_dir*, the shared work directory the
-    cooperating invocations drain; ``stale_claim_seconds`` tunes its
-    requeue threshold (``None`` disables requeue; unspecified keeps
-    the armed default).
+    ``None`` means the default (``processes``).  ``queue`` needs
+    *queue_dir*, the shared work directory the cooperating
+    invocations drain; ``stale_claim_seconds`` tunes its requeue
+    threshold (``None`` disables requeue; unspecified keeps the armed
+    default).
     """
     if isinstance(backend, ExecutionBackend):
-        resolved = backend
-    elif backend is None:
-        resolved = ProcessBackend()
-    elif backend == "sharded":
-        if shard is None:
-            raise ValueError(
-                "backend 'sharded' needs shard=(index, count)"
-                " (CLI: --shard I/N)"
-            )
-        resolved = None  # built below, around the default inner
-    elif backend == "queue":
+        return backend
+    if backend is None:
+        return ProcessBackend()
+    if backend == "queue":
         if queue_dir is None:
             raise ValueError(
                 "backend 'queue' needs queue_dir, the shared work"
@@ -888,20 +743,14 @@ def make_backend(
                 " default it to <cache-dir>/queue)"
             )
         if stale_claim_seconds is _STALE_UNSET:
-            resolved = QueueBackend(queue_dir)
-        else:
-            resolved = QueueBackend(
-                queue_dir, stale_claim_seconds=stale_claim_seconds
-            )
-    else:
-        try:
-            resolved = _FACTORIES[backend]()
-        except KeyError:
-            raise ValueError(
-                f"unknown execution backend {backend!r}; choose from:"
-                f" {', '.join(BACKEND_NAMES)}"
-            ) from None
-    if shard is not None:
-        index, count = shard
-        return ShardedBackend(index, count, inner=resolved)
-    return resolved
+            return QueueBackend(queue_dir)
+        return QueueBackend(
+            queue_dir, stale_claim_seconds=stale_claim_seconds
+        )
+    try:
+        return _FACTORIES[backend]()
+    except KeyError:
+        raise ValueError(
+            f"unknown execution backend {backend!r}; choose from:"
+            f" {', '.join(BACKEND_NAMES)}"
+        ) from None

@@ -4,7 +4,7 @@ A sweep is just a list of specs — typically one scenario expanded over
 N seeds (:func:`expand_seeds`) or several registry entries.  The
 runner keys a JSON result cache on the stable spec hash, farms the
 misses out to an :class:`~repro.scenarios.backends.ExecutionBackend`
-(serial / threads / processes / sharded — see
+(serial / processes / queue — see
 :mod:`repro.scenarios.backends`), and reports what happened in a
 :class:`SweepReport`.
 
@@ -20,11 +20,11 @@ Three properties make large campaigns survivable:
   (Ctrl-C, OOM, a dead machine) resumes with
   :func:`resume_sweep`/``repro scenario sweep --resume`` and
   recomputes only the missing or failed cells.
-* **Sharding** — a :class:`~repro.scenarios.backends.ShardedBackend`
+* **Cooperation** — the :class:`~repro.scenarios.backends.QueueBackend`
   makes N independent invocations over a shared ``cache_dir``
-  converge to the same results as one serial run, because cell
-  ownership is a pure function of the spec hash and completed cells
-  meet in the cache.
+  converge to the same results as one serial run: each cell is
+  claimed exactly once from a shared work directory, and completed
+  cells meet in the cache.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ class SweepReport:
     #: Cells that kept failing after every retry (the sweep still
     #: completed every other cell).
     failures: "List[JobFailure]" = field(default_factory=list)
-    #: Cells owned by other shards of a sharded sweep — not computed
-    #: here, expected to arrive in the shared cache from cooperating
-    #: invocations.
+    #: Cells a live peer invocation holds on a shared queue — not
+    #: computed here, expected to arrive in the shared cache from
+    #: cooperating invocations.
     skipped: int = 0
     #: digest -> worker-measured wall seconds, for cells computed this
     #: invocation (cache hits cost no wall time and are absent).
@@ -200,10 +200,10 @@ class SweepManifest:
     manifest alone, no CLI arguments to repeat.
 
     Cells accumulate across invocations sharing the cache dir (that is
-    what lets shards cooperate); states only ever move forward
+    what lets queue peers cooperate); states only ever move forward
     (``pending`` -> ``failed`` -> ``done``), never back — including
     across *concurrent* invocations: :meth:`save` re-reads the on-disk
-    manifest and merges before replacing it, so two shards
+    manifest and merges before replacing it, so two invocations
     checkpointing into the same file cannot erase each other's
     progress.
 
@@ -250,7 +250,7 @@ class SweepManifest:
     def _merge_disk_state(self) -> None:
         """Fold a concurrent invocation's progress into our cells.
 
-        Another shard may have checkpointed since we loaded; whoever
+        Another invocation may have checkpointed since we loaded; whoever
         writes last must not demote the other's ``done``/``failed``
         marks back to what we saw at load time.
         """
@@ -279,7 +279,7 @@ class SweepManifest:
                             ours[key] = cell[key]
             else:
                 # Equal or behind on state: still adopt timing we lack
-                # (another shard computed the cell; we only cached it).
+                # (a peer computed the cell; we only cached it).
                 for key in _TIMING_KEYS:
                     if key in cell and key not in ours:
                         ours[key] = cell[key]
@@ -394,7 +394,6 @@ class SweepRunner:
         cell_timeout: "Optional[float]" = None,
         retry_backoff: "Optional[float]" = None,
         pool_rebuilds: "Optional[int]" = None,
-        speculate: bool = False,
     ):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -406,8 +405,9 @@ class SweepRunner:
         self.cache_dir = cache_dir
         self.backend = make_backend(backend)
         self.max_retries = max_retries
-        #: Scheduling knobs handed to the backend wholesale — pool
-        #: backends honor all of them, serial/queue apply the backoff.
+        #: Scheduling knobs handed to the backend wholesale — the
+        #: process backend honors all of them, serial/queue apply the
+        #: backoff.
         defaults = SchedulerConfig()
         self.scheduling = SchedulerConfig(
             cell_timeout=cell_timeout,
@@ -421,7 +421,6 @@ class SweepRunner:
                 if pool_rebuilds is None
                 else pool_rebuilds
             ),
-            speculate=speculate,
         )
         self.scheduling.validate()
         #: Observer fired per computed cell, after the cache/manifest
@@ -574,7 +573,6 @@ def run_sweep(
     cell_timeout: "Optional[float]" = None,
     retry_backoff: "Optional[float]" = None,
     pool_rebuilds: "Optional[int]" = None,
-    speculate: bool = False,
 ) -> SweepReport:
     """One-shot convenience wrapper around :class:`SweepRunner`."""
     return SweepRunner(
@@ -586,7 +584,6 @@ def run_sweep(
         cell_timeout=cell_timeout,
         retry_backoff=retry_backoff,
         pool_rebuilds=pool_rebuilds,
-        speculate=speculate,
     ).run(specs)
 
 
@@ -600,15 +597,13 @@ def resume_sweep(
     cell_timeout: "Optional[float]" = None,
     retry_backoff: "Optional[float]" = None,
     pool_rebuilds: "Optional[int]" = None,
-    speculate: bool = False,
 ) -> SweepReport:
     """Finish a sweep recorded in *cache_dir*'s manifest.
 
     Re-derives the full spec list from ``sweep.json`` — no need to
-    repeat the original scenario name, seeds or shard arguments — and
-    runs it: ``done`` cells are cache hits, ``pending``/``failed``
-    cells (and cells whose cache file was lost mid-write) are the only
-    ones recomputed.  The returned report therefore converges to what
+    repeat the original scenario name or seeds — and runs it: ``done``
+    cells are cache hits, ``pending``/``failed`` cells (and cells whose
+    cache file was lost mid-write) are the only ones recomputed.  The returned report therefore converges to what
     one uninterrupted run would have produced.
     """
     manifest = SweepManifest.load(cache_dir)
@@ -626,5 +621,4 @@ def resume_sweep(
         cell_timeout=cell_timeout,
         retry_backoff=retry_backoff,
         pool_rebuilds=pool_rebuilds,
-        speculate=speculate,
     ).run(manifest.specs())

@@ -1,6 +1,6 @@
 """Fault-tolerant pool scheduling for sweep cells.
 
-The pool backends used to push every job into one executor and hope:
+The process backend used to push every job into one executor and hope:
 a single abruptly-dead worker (OOM kill, segfault, ``os._exit``)
 breaks the whole ``ProcessPoolExecutor``, so every remaining future
 raised ``BrokenProcessPool`` and a one-cell accident turned a long
@@ -16,19 +16,11 @@ that submit/collect loop with generations of pools:
   which exactly identifies the killer (its private pool breaks, no
   siblings involved) and lets every innocent cell finish.
 * **Per-cell timeouts** — a cell observed running longer than
-  ``cell_timeout`` wall seconds is charged an attempt and reaped.  On
-  process pools the stuck worker is actually killed (the only way to
-  stop a busy process); thread pools can only abandon the future.  A
-  timed-out cell retries in the next pool generation until its
-  attempt budget is spent, then lands as a ``timeout:`` failure.
-* **Speculative re-dispatch** — opt-in: when lanes sit idle and a
-  running cell exceeds the straggler threshold (elapsed >
-  ``straggler_factor`` x the median wall of at least
-  ``min_straggler_samples`` cells finished this run), the cell is
-  duplicated onto a free lane and the first finisher wins.  Safe
-  because payloads are deterministic and the cache write is
-  idempotent by digest; the twin runs without a journal so the cell's
-  JSONL trail has a single writer.
+  ``cell_timeout`` wall seconds is charged an attempt and reaped: the
+  pool's workers are killed (the only way to stop a busy process) and
+  the generation ends.  A timed-out cell retries in the next pool
+  generation until its attempt budget is spent, then lands as a
+  ``timeout:`` failure.
 
 Scheduling decisions are timed with ``time.monotonic``; the only wall
 clock read is the per-cell ``started_at``/``finished_at`` stamp that
@@ -66,16 +58,10 @@ DEFAULT_RETRY_BACKOFF = 0.1
 #: single-worker pool.
 DEFAULT_POOL_REBUILDS = 1
 
-#: Straggler threshold: elapsed > factor x median finished wall.
-DEFAULT_STRAGGLER_FACTOR = 2.0
-
-#: Minimum finished cells before straggler math is trusted at all.
-DEFAULT_MIN_STRAGGLER_SAMPLES = 3
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Scheduling knobs shared by the pool backends and the runner.
+    """Scheduling knobs shared by the backends and the runner.
 
     Everything here shapes *when and where* cells execute, never what
     they compute — the determinism harness pins that no knob changes a
@@ -89,14 +75,8 @@ class SchedulerConfig:
     retry_backoff: float = DEFAULT_RETRY_BACKOFF
     #: Whole-pool rebuilds allowed before isolation mode.
     pool_rebuilds: int = DEFAULT_POOL_REBUILDS
-    #: Duplicate straggler cells onto idle lanes (first finisher wins).
-    speculate: bool = False
-    #: Elapsed-over-median factor defining a straggler.
-    straggler_factor: float = DEFAULT_STRAGGLER_FACTOR
-    #: Finished-cell sample floor below which no straggler is declared.
-    min_straggler_samples: int = DEFAULT_MIN_STRAGGLER_SAMPLES
-    #: Coordinator poll granularity (seconds) — bounds timeout and
-    #: speculation reaction latency, not any result.
+    #: Coordinator poll granularity (seconds) — bounds timeout
+    #: reaction latency, not any result.
     poll_interval: float = 0.05
 
     def validate(self) -> None:
@@ -112,54 +92,30 @@ class SchedulerConfig:
             raise ValueError(
                 f"pool_rebuilds must be >= 0, got {self.pool_rebuilds!r}"
             )
-        if self.straggler_factor <= 0:
-            raise ValueError(
-                f"straggler_factor must be > 0,"
-                f" got {self.straggler_factor!r}"
-            )
-        if self.min_straggler_samples < 1:
-            raise ValueError(
-                f"min_straggler_samples must be >= 1,"
-                f" got {self.min_straggler_samples!r}"
-            )
         if self.poll_interval <= 0:
             raise ValueError(
                 f"poll_interval must be > 0, got {self.poll_interval!r}"
             )
 
 
-def _median(values: "List[float]") -> "Optional[float]":
-    if not values:
-        return None
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
 class PoolScheduler:
     """Drives one batch of jobs through generations of executor pools.
 
-    ``make_pool(workers)`` builds a fresh executor; ``reapable`` says
-    whether its stuck workers can actually be killed (process pools)
-    or only abandoned (thread pools).  Outcomes are emitted via
-    ``on_outcome`` from the coordinating thread as they resolve, and
-    :meth:`run` returns them in original job order.
+    ``make_pool(workers)`` builds a fresh executor.  Outcomes are
+    emitted via ``on_outcome`` from the coordinating thread as they
+    resolve, and :meth:`run` returns them in original job order.
     """
 
     def __init__(
         self,
         *,
         make_pool: "Callable[[int], object]",
-        reapable: bool,
         workers: int,
         max_retries: int = 0,
         on_outcome: "Optional[OutcomeHook]" = None,
         config: "Optional[SchedulerConfig]" = None,
     ):
         self.make_pool = make_pool
-        self.reapable = reapable
         self.workers = max(1, workers)
         self.max_retries = max_retries
         self.on_outcome = on_outcome
@@ -222,11 +178,8 @@ class PoolScheduler:
         active: "Set[object]" = set()
         running_since: "Dict[object, float]" = {}
         started_wall: "Dict[str, float]" = {}
-        speculated: "Set[str]" = set()
-        finished_walls: "List[float]" = []
         crashed = False
         reaped = False
-        abandoned = False
         try:
             try:
                 for job in jobs:
@@ -247,11 +200,6 @@ class PoolScheduler:
                     active.discard(future)
                     running_since.pop(future, None)
                     job = job_of[future]
-                    if job.digest not in unresolved:
-                        # Speculation loser, or the twin of a cell the
-                        # timeout already charged — either way the cell
-                        # is settled.
-                        continue
                     try:
                         reply = future.result()
                     except BrokenExecutor:
@@ -260,17 +208,15 @@ class PoolScheduler:
                     except Exception as exc:  # noqa: BLE001
                         # attempt_job never raises, so this worker died
                         # in a way that did *not* break the pool (e.g.
-                        # a thread raising through a monkeypatched
-                        # entry point).  Final failure, no resubmit.
+                        # an unpicklable reply or a monkeypatched entry
+                        # point).  Final failure, no resubmit.
                         del unresolved[job.digest]
                         self._emit_worker_death(
                             job, exc, started_wall.get(job.digest)
                         )
                         continue
                     del unresolved[job.digest]
-                    outcome = self._emit_reply(job, reply)
-                    if outcome.wall_seconds is not None:
-                        finished_walls.append(outcome.wall_seconds)
+                    self._emit_reply(job, reply)
                 if crashed:
                     break
                 now = time.monotonic()
@@ -283,44 +229,22 @@ class PoolScheduler:
                             job_of[future].digest,
                             time.time(),  # repro: allow(DET002) manifest stamp
                         )
-                if config.cell_timeout is not None:
-                    charged_any = self._charge_timeouts(
-                        now=now,
-                        active=active,
-                        running_since=running_since,
-                        job_of=job_of,
-                        unresolved=unresolved,
-                        retrying=retrying,
-                        started_wall=started_wall,
-                    )
-                    if charged_any and self.reapable:
-                        reaped = True
-                        break
-                    if charged_any:
-                        # Threads cannot be reaped; their expired
-                        # futures were dropped from ``active`` and are
-                        # left to finish into the void.
-                        abandoned = True
-                if config.speculate and unresolved:
-                    if not self._maybe_speculate(
-                        pool=pool,
-                        lanes=lanes,
-                        now=now,
-                        active=active,
-                        running_since=running_since,
-                        job_of=job_of,
-                        unresolved=unresolved,
-                        speculated=speculated,
-                        finished_walls=finished_walls,
-                    ):
-                        crashed = True
-                        break
+                if config.cell_timeout is not None and self._charge_timeouts(
+                    now=now,
+                    running_since=running_since,
+                    job_of=job_of,
+                    unresolved=unresolved,
+                    retrying=retrying,
+                    started_wall=started_wall,
+                ):
+                    reaped = True
+                    break
         finally:
-            if crashed or reaped or abandoned or active:
+            if crashed or reaped or active:
                 # Deliberate reap, cleanup after a crash, or in-flight
-                # leftovers (abandoned thread futures, speculation
-                # losers): kill what can be killed and do not block on
-                # the rest — every settled cell is already emitted.
+                # leftovers after an exception escaped the loop: kill
+                # the workers and do not block on them — every settled
+                # cell is already emitted.
                 self._reap_pool(pool)
                 pool.shutdown(wait=False, cancel_futures=True)
             else:
@@ -332,11 +256,10 @@ class PoolScheduler:
         ]
         return survivors, crashed
 
-    def _submit(self, pool, job: SweepJob, *, journal: bool = True):
+    def _submit(self, pool, job: SweepJob):
         remaining_retries = max(
             0, self.max_retries - self.charged.get(job.digest, 0)
         )
-        journal_path = job.journal_path if journal else None
         # Coordinator-side injection: a kill here takes down the whole
         # invocation with the cell still unsubmitted.
         faults.faultpoint("sched.submit", name=job.name)
@@ -346,7 +269,7 @@ class PoolScheduler:
             backends_module.attempt_job,
             (
                 job.name, job.digest, job.spec_json, remaining_retries,
-                journal_path, self.config.retry_backoff,
+                job.journal_path, self.config.retry_backoff,
             ),
         )
 
@@ -354,7 +277,6 @@ class PoolScheduler:
         self,
         *,
         now,
-        active,
         running_since,
         job_of,
         unresolved,
@@ -363,23 +285,20 @@ class PoolScheduler:
     ) -> bool:
         """Charge cells observed running past the timeout.
 
-        Returns True when anything was charged.  On process pools the
-        caller then kills the workers and ends the generation,
-        resubmitting the innocent in-flight cells uncharged; thread
-        pools only abandon the expired futures.
+        Returns True when anything was charged; the caller then kills
+        the workers and ends the generation, resubmitting the innocent
+        in-flight cells uncharged.
         """
         timeout = self.config.cell_timeout
         expired = [
             future
             for future, since in running_since.items()
-            if future in active and now - since > timeout
+            if now - since > timeout
         ]
         charged_any = False
         for future in expired:
             job = job_of[future]
             digest = job.digest
-            if digest not in unresolved:
-                continue  # its twin already resolved or was charged
             del unresolved[digest]
             charged_any = True
             obs_metrics.count("sweep.cell_timeouts")
@@ -388,58 +307,7 @@ class PoolScheduler:
                 self._emit_timeout_failure(job, started_wall.get(digest))
             else:
                 retrying.add(digest)
-            if not self.reapable:
-                # Can't kill a thread: forget the future and let the
-                # stuck callable finish into the void (its late reply
-                # is ignored because the digest is settled).
-                active.discard(future)
         return charged_any
-
-    def _maybe_speculate(
-        self,
-        *,
-        pool,
-        lanes,
-        now,
-        active,
-        running_since,
-        job_of,
-        unresolved,
-        speculated,
-        finished_walls,
-    ) -> bool:
-        """Duplicate stragglers onto idle lanes; False if the pool broke."""
-        config = self.config
-        if len(active) >= lanes:
-            return True  # no idle lane to speculate on
-        if len(finished_walls) < config.min_straggler_samples:
-            return True
-        median = _median(finished_walls)
-        if median is None or median <= 0:
-            return True
-        threshold = config.straggler_factor * median
-        for future, since in list(running_since.items()):
-            if len(active) >= lanes:
-                break
-            if future not in active:
-                continue
-            digest = job_of[future].digest
-            if digest not in unresolved or digest in speculated:
-                continue
-            if now - since <= threshold:
-                continue
-            # The twin runs journal-less so the cell's JSONL trail
-            # keeps a single writer; first finisher wins, the loser's
-            # reply is dropped at collection time.
-            try:
-                twin = self._submit(pool, job_of[future], journal=False)
-            except BrokenExecutor:
-                return False
-            job_of[twin] = job_of[future]
-            active.add(twin)
-            speculated.add(digest)
-            obs_metrics.count("sweep.speculated")
-        return True
 
     # ------------------------------------------------------------------
     # isolation mode — one single-worker pool per job
@@ -576,7 +444,7 @@ class PoolScheduler:
     # ------------------------------------------------------------------
     @staticmethod
     def _reap_pool(pool) -> None:
-        """Kill a process pool's workers; a no-op for thread pools."""
+        """Kill a process pool's workers; a no-op for pools without any."""
         faults.faultpoint("sched.reap")
         processes = getattr(pool, "_processes", None)
         if not processes:

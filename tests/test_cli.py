@@ -110,14 +110,11 @@ class TestScenarioParser:
                 "internet-small",
                 "--backend",
                 "serial",
-                "--shard",
-                "0/2",
                 "--max-retries",
                 "2",
             ]
         )
         assert arguments.backend == "serial"
-        assert arguments.shard == "0/2"
         assert arguments.max_retries == 2
         assert not arguments.resume
 
@@ -257,14 +254,22 @@ class TestScenarioCommand:
         assert main(["scenario", "sweep"]) == 2
         assert "scenario name" in capsys.readouterr().err
 
-    def test_sweep_bad_shard_rejected(self, capsys):
-        assert (
-            main(
-                ["scenario", "sweep", "lab-junos", "--shard", "5/2"]
-            )
-            == 2
-        )
-        assert "shard" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "removed, complaint",
+        [
+            (["--shard", "0/2"], "unrecognized arguments: --shard"),
+            (["--speculate"], "unrecognized arguments: --speculate"),
+            (["--backend", "threads"], "invalid choice: 'threads'"),
+        ],
+        ids=["shard", "speculate", "threads"],
+    )
+    def test_removed_sweep_options_fail_loudly(
+        self, removed, complaint, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["scenario", "sweep", "lab-junos", *removed])
+        assert info.value.code == 2
+        assert complaint in capsys.readouterr().err
 
     def test_sweep_failure_reported_with_spec_context(self, capsys):
         # mrt-replay cells have no --input in a sweep, so every cell

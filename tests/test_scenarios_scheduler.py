@@ -137,8 +137,6 @@ class TestSchedulerConfig:
             dict(cell_timeout=-1.0),
             dict(retry_backoff=-0.1),
             dict(pool_rebuilds=-1),
-            dict(straggler_factor=0.0),
-            dict(min_straggler_samples=0),
             dict(poll_interval=0.0),
         ],
     )
@@ -335,7 +333,6 @@ class TestPoolSchedulerUnit:
 
         return PoolScheduler(
             make_pool=lambda n: ThreadPoolExecutor(max_workers=n),
-            reapable=False,
             workers=workers,
             max_retries=max_retries,
             config=config,
@@ -370,75 +367,6 @@ class TestPoolSchedulerUnit:
             "worker died: RuntimeError: boom"
         )
         assert outcomes[1].ok
-
-    def test_speculation_lets_the_twin_win(self, monkeypatch):
-        # Three fast cells establish the median; the fourth stalls on
-        # its first execution and returns instantly on its second.
-        # With speculation on, the twin lands long before the stalled
-        # original would have.
-        lock = threading.Lock()
-        calls = {}
-
-        def scripted(args):
-            digest = args[1]
-            with lock:
-                calls[digest] = calls.get(digest, 0) + 1
-                nth = calls[digest]
-            if digest == "slow" and nth == 1:
-                time.sleep(1.5)
-            return reply_ok(digest)
-
-        monkeypatch.setattr(backends_module, "attempt_job", scripted)
-        scheduler = self.make_scheduler(
-            SchedulerConfig(
-                retry_backoff=0.0,
-                speculate=True,
-                poll_interval=0.01,
-            ),
-            workers=2,
-        )
-        jobs = [
-            SweepJob(digest=d, name=d, spec_json="{}")
-            for d in ("f1", "f2", "f3", "slow")
-        ]
-        started = time.monotonic()
-        outcomes = scheduler.run(jobs)
-        elapsed = time.monotonic() - started
-        assert all(outcome.ok for outcome in outcomes)
-        assert len(outcomes) == 4
-        assert calls["slow"] == 2  # original + speculative twin
-        assert elapsed < 1.4  # did not wait out the stalled original
-
-    def test_speculation_needs_enough_samples(self, monkeypatch):
-        # With only one finished cell the median is not trusted, so
-        # nothing is duplicated no matter how slow a cell looks.
-        lock = threading.Lock()
-        calls = {}
-
-        def scripted(args):
-            digest = args[1]
-            with lock:
-                calls[digest] = calls.get(digest, 0) + 1
-            if digest == "slow":
-                time.sleep(0.4)
-            return reply_ok(digest)
-
-        monkeypatch.setattr(backends_module, "attempt_job", scripted)
-        scheduler = self.make_scheduler(
-            SchedulerConfig(
-                retry_backoff=0.0,
-                speculate=True,
-                poll_interval=0.01,
-            ),
-            workers=2,
-        )
-        jobs = [
-            SweepJob(digest=d, name=d, spec_json="{}")
-            for d in ("f1", "slow")
-        ]
-        outcomes = scheduler.run(jobs)
-        assert all(outcome.ok for outcome in outcomes)
-        assert calls["slow"] == 1
 
 
 class QueueHarness:
