@@ -72,11 +72,9 @@ sys.path.insert(
 )
 
 from repro.analysis.classify import TYPE_ORDER, UpdateClassifier  # noqa: E402
-from repro.bgp import wire  # noqa: E402
 from repro.bgp.wire import encode_message  # noqa: E402
-from repro.mrt import records as mrt_records  # noqa: E402
 from repro.mrt.reader import MRTReader  # noqa: E402
-from repro.netbase import prefix as prefix_module  # noqa: E402
+from repro.netbase.memo import set_memo_enabled  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.pipeline.parallel import FALLBACK_COUNTER  # noqa: E402
 from repro.pipeline.stream import replay_mrt  # noqa: E402
@@ -101,9 +99,7 @@ def default_archive_cache() -> str:
 
 def set_fast_decode(enabled: bool) -> None:
     """Toggle every read-path memo cache as one unit."""
-    wire.set_decode_memo(enabled)
-    prefix_module.set_nlri_memo(enabled)
-    mrt_records.set_address_memo(enabled)
+    set_memo_enabled(enabled)
 
 
 def _sha256_file(path: str) -> str:

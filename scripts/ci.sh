@@ -212,6 +212,13 @@ print(result["spill_paths"]["rrc00"])
 ' "$CACHE_DIR/spill-result.json")"
 echo "spilled archive: $SPILL_PATH"
 python -m repro scenario run mrt-replay --input "$SPILL_PATH"
+
+echo
+echo "== smoke: preset commands =="
+# lab and classify are presets of lab-baseline and mrt-replay; both
+# run through the scenario engine and print its tables.
+python -m repro lab --vendor junos
+python -m repro classify "$SPILL_PATH"
 rm -f "$SPILL_PATH"
 
 echo

@@ -20,6 +20,17 @@ from repro.analysis.classify import (
 from repro.analysis.observations import Observation
 
 
+#: Table 2's "observed changes" column, one entry per announcement type.
+TYPE_DESCRIPTIONS = {
+    AnnouncementType.PC: "path + community",
+    AnnouncementType.PN: "path only",
+    AnnouncementType.NC: "community only",
+    AnnouncementType.NN: "no change",
+    AnnouncementType.XC: "path prepending + comm.",
+    AnnouncementType.XN: "path prepending only",
+}
+
+
 @dataclass
 class Table1:
     """Dataset overview, mirroring the paper's Table 1 layout."""
@@ -105,14 +116,6 @@ class Table2:
 
     def as_rows(self) -> "List[Tuple[str, str, float, Optional[float]]]":
         """(code, description, full share, beacon share) rows."""
-        descriptions = {
-            AnnouncementType.PC: "path + community",
-            AnnouncementType.PN: "path only",
-            AnnouncementType.NC: "community only",
-            AnnouncementType.NN: "no change",
-            AnnouncementType.XC: "path prepending + comm.",
-            AnnouncementType.XN: "path prepending only",
-        }
         rows = []
         for kind in TYPE_ORDER:
             beacon_share = (
@@ -121,7 +124,7 @@ class Table2:
             rows.append(
                 (
                     kind.value,
-                    descriptions[kind],
+                    TYPE_DESCRIPTIONS[kind],
                     self.full.share(kind),
                     beacon_share,
                 )

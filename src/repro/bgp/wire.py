@@ -77,7 +77,8 @@ _ORIGIN_BY_CODE = {int(code): code for code in OriginCode}
 # and enables identity fast paths downstream (``a is b`` implies
 # ``a == b`` for these immutable value objects).  All caches are
 # bounded — cleared wholesale when full, like the MRT writer's message
-# cache — and can be disabled as one unit for the benchmark's
+# cache — and switch off with every other memo
+# (:func:`repro.netbase.memo.set_memo_enabled`) for the benchmark's
 # fast-vs-naive verification.
 _MEMO_LIMIT = 16384
 _ATTR_BLOCK_MEMO: dict = {}  # raw attr block -> (attrs, reach, unreach)
@@ -85,34 +86,14 @@ _AS_PATH_MEMO: dict = {}  # raw AS_PATH value -> ASPath
 _COMMUNITY_SET_MEMO: dict = {}  # raw COMMUNITIES value -> CommunitySet
 _LARGE_SET_MEMO: dict = {}  # raw LARGE_COMMUNITIES value -> frozenset
 _ADDR4_MEMO: dict = {}  # packed IPv4 -> text (NEXT_HOP et al.)
-_memo_enabled = True
 
-_ATTR_BLOCK_STATS = memo_counters("wire.attr_block")
-_AS_PATH_STATS = memo_counters("wire.as_path")
-_COMMUNITY_SET_STATS = memo_counters("wire.community_set")
-_LARGE_SET_STATS = memo_counters("wire.large_set")
-_ADDR4_STATS = memo_counters("wire.addr4")
-
-
-def set_decode_memo(enabled: bool) -> bool:
-    """Enable/disable (and clear) the attribute-decode memo caches.
-
-    Returns the previous setting.  The benchmark's verify mode decodes
-    every archive twice — memo on and off — and asserts bit-identical
-    results, proving the caches are a pure optimization.
-    """
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = bool(enabled)
-    for cache in (
-        _ATTR_BLOCK_MEMO,
-        _AS_PATH_MEMO,
-        _COMMUNITY_SET_MEMO,
-        _LARGE_SET_MEMO,
-        _ADDR4_MEMO,
-    ):
-        cache.clear()
-    return previous
+_ATTR_BLOCK_STATS = memo_counters("wire.attr_block", _ATTR_BLOCK_MEMO)
+_AS_PATH_STATS = memo_counters("wire.as_path", _AS_PATH_MEMO)
+_COMMUNITY_SET_STATS = memo_counters(
+    "wire.community_set", _COMMUNITY_SET_MEMO
+)
+_LARGE_SET_STATS = memo_counters("wire.large_set", _LARGE_SET_MEMO)
+_ADDR4_STATS = memo_counters("wire.addr4", _ADDR4_MEMO)
 
 
 def decode_memo_sizes() -> "dict[str, int]":
@@ -132,10 +113,7 @@ def _ipv4_text(packed: bytes) -> str:
         _ADDR4_STATS.hits += 1
         return cached
     text = str(ipaddress.IPv4Address(packed))
-    if _memo_enabled:
-        bounded_store(
-            _ADDR4_MEMO, packed, text, _MEMO_LIMIT, _ADDR4_STATS
-        )
+    bounded_store(_ADDR4_MEMO, packed, text, _MEMO_LIMIT, _ADDR4_STATS)
     return text
 
 
@@ -440,20 +418,17 @@ def _decode_attribute_block(data):
     ``is`` check.
     """
     raw = bytes(data)
-    if _memo_enabled:
-        cached = _ATTR_BLOCK_MEMO.get(raw)
-        if cached is not None:
-            _ATTR_BLOCK_STATS.hits += 1
-            return cached
+    cached = _ATTR_BLOCK_MEMO.get(raw)
+    if cached is not None:
+        _ATTR_BLOCK_STATS.hits += 1
+        return cached
     fields, reach_v6, unreach_v6, mp_next_hop = _parse_attributes(raw)
     if mp_next_hop is not None and fields.get("next_hop") is None:
         fields["next_hop"] = mp_next_hop
     result = (PathAttributes(**fields), tuple(reach_v6), tuple(unreach_v6))
-    if _memo_enabled:
-        bounded_store(
-            _ATTR_BLOCK_MEMO, raw, result, _MEMO_LIMIT, _ATTR_BLOCK_STATS
-        )
-    return result
+    return bounded_store(
+        _ATTR_BLOCK_MEMO, raw, result, _MEMO_LIMIT, _ATTR_BLOCK_STATS
+    )
 
 
 def _decode_attributes(data):
@@ -519,11 +494,10 @@ def _dec_origin(value, fields, reach_v6, unreach_v6):
 def _dec_as_path(value, fields, reach_v6, unreach_v6):
     path = _AS_PATH_MEMO.get(value)
     if path is None:
-        path = _decode_as_path(value)
-        if _memo_enabled:
-            bounded_store(
-                _AS_PATH_MEMO, value, path, _MEMO_LIMIT, _AS_PATH_STATS
-            )
+        path = bounded_store(
+            _AS_PATH_MEMO, value, _decode_as_path(value), _MEMO_LIMIT,
+            _AS_PATH_STATS,
+        )
     else:
         _AS_PATH_STATS.hits += 1
     fields["as_path"] = path
@@ -568,15 +542,16 @@ def _dec_communities(value, fields, reach_v6, unreach_v6):
     if community_set is None:
         if len(value) % 4:
             raise WireFormatError("bad COMMUNITIES length")
-        community_set = CommunitySet(
-            Community.from_bytes(value[i : i + 4])
-            for i in range(0, len(value), 4)
+        community_set = bounded_store(
+            _COMMUNITY_SET_MEMO,
+            value,
+            CommunitySet(
+                Community.from_bytes(value[i : i + 4])
+                for i in range(0, len(value), 4)
+            ),
+            _MEMO_LIMIT,
+            _COMMUNITY_SET_STATS,
         )
-        if _memo_enabled:
-            bounded_store(
-                _COMMUNITY_SET_MEMO, value, community_set, _MEMO_LIMIT,
-                _COMMUNITY_SET_STATS,
-            )
     else:
         _COMMUNITY_SET_STATS.hits += 1
     existing = fields.get("communities")
@@ -593,15 +568,16 @@ def _dec_large_communities(value, fields, reach_v6, unreach_v6):
     if large is None:
         if len(value) % 12:
             raise WireFormatError("bad LARGE_COMMUNITIES length")
-        large = frozenset(
-            LargeCommunity.from_bytes(value[i : i + 12])
-            for i in range(0, len(value), 12)
+        large = bounded_store(
+            _LARGE_SET_MEMO,
+            value,
+            frozenset(
+                LargeCommunity.from_bytes(value[i : i + 12])
+                for i in range(0, len(value), 12)
+            ),
+            _MEMO_LIMIT,
+            _LARGE_SET_STATS,
         )
-        if _memo_enabled:
-            bounded_store(
-                _LARGE_SET_MEMO, value, large, _MEMO_LIMIT,
-                _LARGE_SET_STATS,
-            )
     else:
         _LARGE_SET_STATS.hits += 1
     existing = fields.get("communities")

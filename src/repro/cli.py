@@ -1,18 +1,28 @@
 """Command-line tools.
 
-Four subcommands mirror the ways people use the library:
+Six subcommands mirror the ways people use the library:
 
-* ``repro lab [--vendor VENDOR]`` — run the §3 lab experiment matrix;
-* ``repro classify FILE [--collector NAME]`` — classify announcement
-  types in an MRT update archive (real RouteViews/RIS files work);
-* ``repro simulate [--scale small|mar20] [--seed N]`` — simulate one
-  measurement day and print Table 1 + Table 2;
 * ``repro scenario list|run|sweep`` — the declarative scenario engine:
   browse the registry, run one named scenario (or a JSON spec file),
   or run a multi-seed sweep in parallel with result caching;
+* ``repro lab [--vendor VENDOR]`` — the §3 lab experiment matrix
+  (the ``lab-baseline`` scenario);
+* ``repro simulate [--scale small|mar20] [--seed N]`` — one
+  measurement day's Table 1 + Table 2 (``internet-small`` or
+  ``internet-mar20``);
+* ``repro classify FILE [--collector NAME]`` — Table 1 + Table 2 of
+  an MRT update archive, real RouteViews/RIS files included
+  (``mrt-replay``);
+* ``repro doctor DIR [--repair]`` — scan a cache or queue directory
+  for crash debris and repair it;
 * ``repro check`` — the contract linter (``src/repro/devtools/``):
   static analysis enforcing the determinism, hot-path and
   output-discipline invariants.
+
+``lab``, ``simulate`` and ``classify`` are presets: each builds the
+named scenario's spec with the command's flags applied and runs it
+through the same engine and the same table renderer as
+``scenario run``.
 
 Output discipline (enforced by ``repro check``'s IO001): stdout
 belongs to the designated emitters — :func:`_emit` for human tables,
@@ -31,14 +41,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import (
-    build_table1,
-    build_table2,
-    observations_from_collector,
-    observations_from_mrt,
-)
 from repro.reports import format_share, render_kv_table, render_table
-from repro.vendors import ALL_PROFILES, profile_by_name
 
 
 def _emit(*values, sep: str = " ", end: str = "\n") -> None:
@@ -67,6 +70,7 @@ def _emit_json(document) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
     from repro.scenarios.backends import BACKEND_NAMES
+    from repro.scenarios.spec import INTERNET_SCALES, VALID_KINDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -99,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--scale",
-        choices=("small", "mar20"),
+        choices=INTERNET_SCALES,
         default="small",
         help="topology scale (default: small)",
     )
@@ -119,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_list.add_argument(
         "--kind",
-        choices=("lab", "internet", "mrt"),
+        choices=VALID_KINDS,
         default=None,
         help="restrict to one scenario kind",
     )
@@ -390,19 +394,15 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
     """CLI entry point; returns the process exit code."""
     arguments = build_parser().parse_args(argv)
     try:
-        if arguments.command == "lab":
-            return _run_lab(arguments)
-        if arguments.command == "classify":
-            return _run_classify(arguments)
+        if arguments.command in ("lab", "classify", "simulate"):
+            return _run_preset(arguments)
         if arguments.command == "scenario":
             return _run_scenario_command(arguments)
         if arguments.command == "doctor":
             return _run_doctor(arguments)
-        if arguments.command == "check":
-            from repro.devtools.cli import run_check_command
+        from repro.devtools.cli import run_check_command
 
-            return run_check_command(arguments)
-        return _run_simulate(arguments)
+        return run_check_command(arguments)
     except BrokenPipeError:
         # Piping into `head` closes stdout early; exit quietly instead
         # of tracebacking (and keep the interpreter's shutdown flush
@@ -411,63 +411,45 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         return 1
 
 
-def _run_lab(arguments) -> int:
-    from repro.simulator import run_all_experiments
+def _preset_spec(arguments):
+    """The registered scenario behind ``lab``/``simulate``/``classify``,
+    with the command's flags applied."""
+    from dataclasses import replace
 
-    if arguments.vendor is not None:
-        try:
-            vendors = (profile_by_name(arguments.vendor),)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-    else:
-        vendors = ALL_PROFILES
-    results = run_all_experiments(vendors)
-    _emit(
-        render_table(
-            ("exp", "vendor", "Y1->X1", "collector", "behavior"),
-            (result.summary_row() for result in results),
-            title="Lab behavior matrix (paper §3)",
+    from repro.scenarios import LabSpec, MrtSpec, get_scenario
+
+    if arguments.command == "lab":
+        spec = get_scenario("lab-baseline")
+        if arguments.vendor is not None:
+            spec = replace(spec, lab=LabSpec(vendors=(arguments.vendor,)))
+        return spec
+    if arguments.command == "classify":
+        spec = replace(
+            get_scenario("mrt-replay"),
+            mrt=MrtSpec(path=arguments.file, collector=arguments.collector),
         )
-    )
-    return 0
+    else:
+        spec = get_scenario(f"internet-{arguments.scale}")
+        if arguments.seed is not None:
+            spec = replace(spec, seed=arguments.seed)
+    return replace(spec, collectors=("table1", "table2"))
 
 
-def _run_classify(arguments) -> int:
-    from repro.mrt import MRTReader
+def _run_preset(arguments) -> int:
+    """Run a preset's scenario and print its tables (no header line)."""
+    from repro.scenarios import ScenarioValidationError, run_scenario
 
     try:
-        handle = open(arguments.file, "rb")
-    except OSError as exc:
-        print(f"cannot open {arguments.file}: {exc}", file=sys.stderr)
+        result = run_scenario(_preset_spec(arguments))
+    except ScenarioValidationError as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
-    with handle:
-        reader = MRTReader(handle, tolerant=True)
-        observations = list(
-            observations_from_mrt(reader, arguments.collector)
-        )
-    if not observations:
+    if result.spec.kind == "mrt" and not result.reader_stats.get(
+        "observations"
+    ):
         print("no update messages found", file=sys.stderr)
         return 1
-    _print_day_tables(observations)
-    return 0
-
-
-def _run_simulate(arguments) -> int:
-    from repro.workloads import InternetConfig, InternetModel
-
-    if arguments.scale == "small":
-        config = InternetConfig.small()
-    else:
-        config = InternetConfig.mar20()
-    if arguments.seed is not None:
-        config.seed = arguments.seed
-    day = InternetModel(config).run()
-    observations = []
-    for collector in day.collectors():
-        observations.extend(observations_from_collector(collector))
-    observations.sort(key=lambda obs: obs.timestamp)
-    _print_day_tables(observations, beacons=set(day.beacon_prefixes))
+    _emit("\n\n".join(_metric_tables(result)))
     return 0
 
 
@@ -517,30 +499,25 @@ def _load_run_spec(arguments) -> "tuple[object, Optional[str]]":
         spec = get_scenario(arguments.name)
     if arguments.seed is not None:
         spec = replace(spec, seed=arguments.seed)
-    if getattr(arguments, "input", None) is not None:
+    overrides = {
+        field: value
+        for field, value in (
+            ("path", arguments.input),
+            ("decode_workers", arguments.workers),
+        )
+        if value is not None
+    }
+    if overrides:
         from repro.scenarios import MrtSpec
 
         if spec.kind != "mrt":
+            flag = "--input" if "path" in overrides else "--workers"
             return None, (
-                f"--input only applies to mrt scenarios;"
+                f"{flag} only applies to mrt scenarios;"
                 f" {spec.name!r} is kind {spec.kind!r}"
             )
         section = spec.mrt if spec.mrt is not None else MrtSpec()
-        spec = replace(
-            spec, mrt=replace(section, path=arguments.input)
-        )
-    if getattr(arguments, "workers", None) is not None:
-        from repro.scenarios import MrtSpec
-
-        if spec.kind != "mrt":
-            return None, (
-                f"--workers only applies to mrt scenarios;"
-                f" {spec.name!r} is kind {spec.kind!r}"
-            )
-        section = spec.mrt if spec.mrt is not None else MrtSpec()
-        spec = replace(
-            spec, mrt=replace(section, decode_workers=arguments.workers)
-        )
+        spec = replace(spec, mrt=replace(section, **overrides))
     return spec, None
 
 
@@ -549,14 +526,14 @@ def _scenario_run(arguments) -> int:
 
     from repro import obs
     from repro.scenarios import (
+        CadenceError,
         ScenarioValidationError,
         UnknownScenarioError,
         result_to_json,
-        run_scenario,
+        run_journaled,
     )
 
     want_metrics = arguments.metrics or arguments.metrics_out is not None
-    journal = None
     try:
         spec, error = _load_run_spec(arguments)
         if error is not None:
@@ -576,14 +553,10 @@ def _scenario_run(arguments) -> int:
                     file=sys.stderr,
                 )
 
-        if arguments.journal is not None:
-            journal = obs.RunJournal(arguments.journal)
-            journal.write("start", name=spec.name)
-
         def execute():
-            return run_scenario(
+            return run_journaled(
                 spec,
-                journal=journal,
+                arguments.journal,
                 heartbeat_every=arguments.heartbeat_every,
                 on_heartbeat=on_heartbeat,
             )
@@ -598,16 +571,12 @@ def _scenario_run(arguments) -> int:
         finally:
             if want_metrics:
                 obs.set_metrics_enabled(previous)
-    except (UnknownScenarioError, ScenarioValidationError) as exc:
-        if journal is not None:
-            journal.write("fail", error=str(exc))
-            journal.close()
+    except (
+        UnknownScenarioError, ScenarioValidationError, CadenceError
+    ) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(message, file=sys.stderr)
         return 2
-    if journal is not None:
-        journal.write("finish", stopped_early=result.stopped_early)
-        journal.close()
     if arguments.metrics_out is not None:
         with open(arguments.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(
@@ -621,7 +590,9 @@ def _scenario_run(arguments) -> int:
         f"scenario {result.name} [{spec.kind}]"
         f" seed={spec.seed} hash={result.spec_hash}"
     )
-    _print_scenario_metrics(result)
+    for table in _metric_tables(result):
+        _emit()
+        _emit(table)
     stats = result.reader_stats
     if stats:
         _emit(
@@ -940,9 +911,13 @@ def _scenario_sweep_status(arguments) -> int:
     if arguments.cache_dir is None:
         print("--status requires --cache-dir", file=sys.stderr)
         return 2
-    status = collect_sweep_status(
-        arguments.cache_dir, lost_after=arguments.lost_after
-    )
+    try:
+        status = collect_sweep_status(
+            arguments.cache_dir, lost_after=arguments.lost_after
+        )
+    except ValueError as exc:
+        print(f"bad status arguments: {exc}", file=sys.stderr)
+        return 2
     if not status.cells:
         print(
             f"no sweep manifest found in {arguments.cache_dir}",
@@ -976,58 +951,69 @@ def _sweep_summary(result) -> str:
     return ", ".join(sorted(result.metrics)) or "-"
 
 
-def _print_scenario_metrics(result) -> None:
-    """Render each collector's metrics as paper-shaped tables."""
+def _metric_tables(result) -> "list[str]":
+    """Each collector's metrics as one rendered table, in spec order.
+
+    The one renderer behind ``scenario run`` and the preset commands:
+    the lab matrix and Tables 1/2 in the paper's layout, any other
+    collector as a flat metric/value dump.
+    """
+    from dataclasses import fields
+
+    from repro.analysis.tables import TYPE_DESCRIPTIONS, Table1
+
+    tables = []
     for name in result.spec.collectors:
         metrics = result.metrics.get(name, {})
-        _emit()
         if name == "lab_matrix":
-            _emit(
+            tables.append(
                 render_table(
                     metrics["headers"],
                     metrics["rows"],
                     title="Lab behavior matrix (paper §3)",
                 )
             )
-            continue
-        if name == "table2":
+        elif name == "table1":
+            table1 = Table1(
+                **{field.name: metrics[field.name] for field in fields(Table1)}
+            )
+            tables.append(
+                render_kv_table(table1.as_rows(), title="Table 1: overview")
+            )
+        elif name == "table2":
+            full = metrics["full_shares"]
+            beacon = metrics["beacon_shares"] or {}
             rows = [
-                (code, format_share(share))
-                for code, share in metrics["full_shares"].items()
+                (
+                    kind.value,
+                    description,
+                    format_share(full[kind.value]),
+                    format_share(beacon.get(kind.value)),
+                )
+                for kind, description in TYPE_DESCRIPTIONS.items()
             ]
-            _emit(
+            tables.append(
                 render_table(
-                    ("type", "share"),
+                    ("type", "observed changes", "share", "beacons"),
                     rows,
                     title="Table 2: announcement types",
                 )
             )
-            if metrics.get("beacon_shares"):
-                beacon_rows = [
-                    (code, format_share(share))
-                    for code, share in metrics["beacon_shares"].items()
-                ]
-                _emit(
-                    render_table(
-                        ("type", "share"),
-                        beacon_rows,
-                        title="Table 2: beacon subset",
+        else:
+            rows = [
+                (key, _format_metric_value(value))
+                for key, value in metrics.items()
+                if not isinstance(value, (dict, list))
+            ]
+            for key, value in metrics.items():
+                if isinstance(value, dict):
+                    rows.extend(
+                        (f"{key}.{sub}", _format_metric_value(item))
+                        for sub, item in value.items()
+                        if not isinstance(item, (dict, list))
                     )
-                )
-            continue
-        rows = [
-            (key, _format_metric_value(value))
-            for key, value in metrics.items()
-            if not isinstance(value, (dict, list))
-        ]
-        for key, value in metrics.items():
-            if isinstance(value, dict):
-                rows.extend(
-                    (f"{key}.{sub}", _format_metric_value(item))
-                    for sub, item in value.items()
-                    if not isinstance(item, (dict, list))
-                )
-        _emit(render_kv_table(rows, title=f"Collector: {name}"))
+            tables.append(render_kv_table(rows, title=f"Collector: {name}"))
+    return tables
 
 
 def _format_metric_value(value) -> str:
@@ -1038,29 +1024,6 @@ def _format_metric_value(value) -> str:
     if isinstance(value, int):
         return f"{value:,}"
     return str(value)
-
-
-def _print_day_tables(observations, *, beacons=None) -> None:
-    table1 = build_table1(observations)
-    _emit(render_kv_table(table1.as_rows(), title="Table 1: overview"))
-    _emit()
-    table2 = build_table2(observations, beacons)
-    rows = [
-        (
-            code,
-            description,
-            format_share(full),
-            format_share(beacon) if beacon is not None else "-",
-        )
-        for code, description, full, beacon in table2.as_rows()
-    ]
-    _emit(
-        render_table(
-            ("type", "observed changes", "share", "beacons"),
-            rows,
-            title="Table 2: announcement types",
-        )
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover

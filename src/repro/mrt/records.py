@@ -65,20 +65,7 @@ MICROSECONDS_STRUCT = struct.Struct("!I")
 #: wholesale when full.
 _ADDRESS_MEMO: dict = {}
 _ADDRESS_MEMO_LIMIT = 8192
-_address_memo_enabled = True
-_ADDRESS_STATS = memo_counters("mrt.address")
-
-
-def set_address_memo(enabled: bool) -> bool:
-    """Enable/disable (and clear) the packed-address memo.
-
-    Returns the previous setting (benchmark verify mode toggles this).
-    """
-    global _address_memo_enabled
-    previous = _address_memo_enabled
-    _address_memo_enabled = bool(enabled)
-    _ADDRESS_MEMO.clear()
-    return previous
+_ADDRESS_STATS = memo_counters("mrt.address", _ADDRESS_MEMO)
 
 
 def address_memo_size() -> int:
@@ -189,11 +176,10 @@ def pack_address(address: str) -> "tuple[int, bytes]":
 def unpack_address(afi: int, data: bytes) -> str:
     """Decode a packed address for the given AFI."""
     packed = bytes(data)
-    if _address_memo_enabled:
-        cached = _ADDRESS_MEMO.get((afi, packed))
-        if cached is not None:
-            _ADDRESS_STATS.hits += 1
-            return cached
+    cached = _ADDRESS_MEMO.get((afi, packed))
+    if cached is not None:
+        _ADDRESS_STATS.hits += 1
+        return cached
     if afi == _AFI_IPV4:
         if len(packed) != 4:
             raise MRTError(f"bad IPv4 address length: {len(packed)}")
@@ -204,12 +190,10 @@ def unpack_address(afi: int, data: bytes) -> str:
         text = str(ipaddress.IPv6Address(packed))
     else:
         raise MRTError(f"unsupported AFI: {afi}")
-    if _address_memo_enabled:
-        bounded_store(
-            _ADDRESS_MEMO, (afi, packed), text, _ADDRESS_MEMO_LIMIT,
-            _ADDRESS_STATS,
-        )
-    return text
+    return bounded_store(
+        _ADDRESS_MEMO, (afi, packed), text, _ADDRESS_MEMO_LIMIT,
+        _ADDRESS_STATS,
+    )
 
 
 def encode_header(header: MRTHeader) -> bytes:

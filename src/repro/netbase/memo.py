@@ -19,6 +19,12 @@ the counters never influence decoded output, so the fast-vs-naive
 determinism verifies are unaffected.  :func:`memo_stats` snapshots
 every store; :func:`reset_memo_stats` zeroes them (determinism
 harnesses and per-run metric reports both want a clean slate).
+
+One process-wide switch, :func:`set_memo_enabled`, turns every memo
+off at once: :func:`bounded_store` stops storing and the module-level
+caches are emptied, so every lookup misses and each value is decoded
+from scratch — the naive reference the fast-vs-naive verifies compare
+against.
 """
 
 from __future__ import annotations
@@ -62,20 +68,47 @@ class MemoStats:
 #: Every named memo's stats, in registration order.
 _STATS_REGISTRY: "Dict[str, MemoStats]" = {}
 
+#: Module-level caches by memo name, emptied whenever the switch flips.
+_MODULE_CACHES: "Dict[str, dict]" = {}
 
-def memo_counters(name: str) -> MemoStats:
+_enabled = True
+
+
+def memo_counters(name: str, cache: "dict | None" = None) -> MemoStats:
     """The (registered) stats record for the memo called *name*.
 
     Idempotent: modules create their record at import time with
-    ``_STATS = memo_counters("wire.attr_block")`` and the same object
-    is returned on any later call, so reporting code can look memos up
-    by name without holding module references.
+    ``_STATS = memo_counters("wire.attr_block", _ATTR_BLOCK_MEMO)`` and
+    the same object is returned on any later call, so reporting code
+    can look memos up by name without holding module references.  A
+    module-level *cache* given here is emptied by
+    :func:`set_memo_enabled`; per-instance memos (one per reader or
+    pipeline) pass none and simply stay empty while the switch is off.
     """
     stats = _STATS_REGISTRY.get(name)
     if stats is None:
         stats = MemoStats(name)
         _STATS_REGISTRY[name] = stats
+    if cache is not None:
+        _MODULE_CACHES[name] = cache
     return stats
+
+
+def set_memo_enabled(enabled: bool) -> bool:
+    """Turn every bounded memo on or off; returns the previous setting.
+
+    Either way the module-level caches are emptied.  While off,
+    :func:`bounded_store` stores nothing, so every memo stays empty and
+    every lookup misses: the benchmark's verify mode and the read-path
+    tests decode once each way and require identical results, proving
+    the memos are a pure optimization.
+    """
+    global _enabled
+    previous = _enabled
+    _enabled = bool(enabled)
+    for cache in _MODULE_CACHES.values():
+        cache.clear()
+    return previous
 
 
 def memo_stats() -> "Dict[str, Dict[str, float]]":
@@ -101,13 +134,16 @@ def bounded_store(
     When *stats* is given, the store counts as one miss (a store only
     happens after a failed lookup) and a wholesale clear as one
     eviction — both on the cold path, where a counter increment is
-    noise next to the decode the miss just paid for.
+    noise next to the decode the miss just paid for.  While the memos
+    are switched off (:func:`set_memo_enabled`) nothing is stored.
     """
+    if stats is not None:
+        stats.misses += 1
+    if not _enabled:
+        return value
     if len(cache) >= limit:
         cache.clear()
         if stats is not None:
             stats.evictions += 1
-    if stats is not None:
-        stats.misses += 1
     cache[key] = value
     return value

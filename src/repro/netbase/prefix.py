@@ -31,22 +31,7 @@ _V6_BITS = 128
 #: when full, like the MRT writer's message cache.
 _NLRI_MEMO: dict = {}
 _NLRI_MEMO_LIMIT = 65536
-_nlri_memo_enabled = True
-_NLRI_STATS = memo_counters("prefix.nlri")
-
-
-def set_nlri_memo(enabled: bool) -> bool:
-    """Enable/disable (and clear) the NLRI interning memo.
-
-    Returns the previous setting.  Disabling forces every decode down
-    the naive parse path — the benchmark's verify mode uses this to
-    prove the memo is a pure optimization.
-    """
-    global _nlri_memo_enabled
-    previous = _nlri_memo_enabled
-    _nlri_memo_enabled = bool(enabled)
-    _NLRI_MEMO.clear()
-    return previous
+_NLRI_STATS = memo_counters("prefix.nlri", _NLRI_MEMO)
 
 
 def nlri_memo_size() -> int:
@@ -133,12 +118,11 @@ class Prefix:
         if len(data) < 1 + octets:
             raise PrefixError("truncated NLRI")
         consumed = 1 + octets
-        if _nlri_memo_enabled:
-            key = (version, bytes(data[:consumed]))
-            cached = _NLRI_MEMO.get(key)
-            if cached is not None:
-                _NLRI_STATS.hits += 1
-                return cached
+        key = (version, bytes(data[:consumed]))
+        cached = _NLRI_MEMO.get(key)
+        if cached is not None:
+            _NLRI_STATS.hits += 1
+            return cached
         network_bytes = (
             bytes(data[1:consumed]) + b"\x00" * (max_bits // 8 - octets)
         )
@@ -148,11 +132,9 @@ class Prefix:
             # Tolerate sloppy senders: mask off trailing garbage bits.
             network &= mask
         result = (cls.from_int(network, length, version), consumed)
-        if _nlri_memo_enabled:
-            bounded_store(
-                _NLRI_MEMO, key, result, _NLRI_MEMO_LIMIT, _NLRI_STATS
-            )
-        return result
+        return bounded_store(
+            _NLRI_MEMO, key, result, _NLRI_MEMO_LIMIT, _NLRI_STATS
+        )
 
     # ------------------------------------------------------------------
     # accessors

@@ -206,8 +206,14 @@ def collect_sweep_status(
     wall time.  *lost_after* overrides the derived journal-staleness
     threshold (seconds) past which a running cell is declared
     ``lost``; the default calibrates per cell from its own heartbeat
-    cadence (see :func:`_lost_threshold`).
+    cadence (see :func:`_lost_threshold`).  A *lost_after* of zero or
+    less would declare every running cell lost and raises ValueError.
     """
+    if lost_after is not None and lost_after <= 0:
+        raise ValueError(
+            f"lost_after must be a positive number of seconds,"
+            f" got {lost_after}"
+        )
     # Imported here, not at module top: runner imports the journal
     # helpers from this package, and obs must stay importable without
     # the scenarios layer.

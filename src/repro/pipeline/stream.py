@@ -114,7 +114,9 @@ def replay_mrt(
     what the reader silently stepped over.  The dict is populated even
     when the sink stops the pipeline early.
 
-    *workers* requests the sharded parallel decode: the archive is
+    *workers* above one requests the sharded parallel decode (one
+    worker takes this serial path: a single shard would only add the
+    index pass and a JSON round trip of its state): the archive is
     partitioned by session, shards decode+classify on a process pool,
     and per-shard sink state merges back in shard order — proven
     byte-identical to the serial pass.  It engages only when *source*
@@ -125,7 +127,9 @@ def replay_mrt(
     ticked.  *shard_stats*, when a list, receives one per-shard
     reader-stats row on a successful parallel run.
     """
-    if workers is not None and isinstance(source, (str, bytes)):
+    if workers is not None and workers > 1 and isinstance(
+        source, (str, bytes)
+    ):
         from repro.pipeline import parallel
 
         sink_spec = parallel.sink_spec_for(sink)

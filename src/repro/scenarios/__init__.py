@@ -71,8 +71,10 @@ from repro.scenarios.collectors import (
     make_collectors,
 )
 from repro.scenarios.engine import (
+    CadenceError,
     ScenarioResult,
     internet_config_from_spec,
+    run_journaled,
     run_scenario,
     run_scenario_json,
 )
@@ -133,8 +135,10 @@ __all__ = [
     "collector",
     "known_collector_names",
     "make_collectors",
+    "CadenceError",
     "ScenarioResult",
     "internet_config_from_spec",
+    "run_journaled",
     "run_scenario",
     "run_scenario_json",
     "UnknownScenarioError",

@@ -71,6 +71,10 @@ HeartbeatHook = Callable[[dict], None]
 DEFAULT_HEARTBEAT_EVERY = 5000
 
 
+class CadenceError(ValueError):
+    """A heartbeat or snapshot cadence below one observation."""
+
+
 @dataclass
 class ScenarioResult:
     """Everything one scenario run produced."""
@@ -213,12 +217,23 @@ def run_scenario(
     *heartbeat_every* observations (and *on_heartbeat*, if given, the
     same payloads in-process).
 
+    A cadence below one raises :class:`CadenceError` before anything
+    runs.
+
     When the metrics registry is enabled
     (:func:`repro.obs.set_metrics_enabled`), the run starts from a
     clean registry and memo-counter slate and the result carries a
     ``metrics_report`` describing exactly this run.
     """
     spec.validate()
+    for label, every in (
+        ("snapshot_every", snapshot_every),
+        ("heartbeat_every", heartbeat_every),
+    ):
+        if every is not None and every < 1:
+            raise CadenceError(
+                f"{label} must be at least 1 observation, got {every}"
+            )
     instrumented = obs_metrics.metrics_enabled()
     if instrumented:
         # One report == one run: never blend in a previous run's state.
@@ -275,6 +290,33 @@ def run_scenario(
     )
 
 
+def run_journaled(
+    spec: ScenarioSpec, journal_path: "Optional[str]" = None, **hooks
+) -> ScenarioResult:
+    """:func:`run_scenario` under the run-journal lifecycle.
+
+    With a *journal_path*, the journal there gets ``start``, the run's
+    heartbeats, then ``fail`` (on any exception, which propagates) or
+    ``finish``, and is closed either way.  Every journaled run — a CLI
+    ``--journal`` run or a sweep cell — goes through here, so the
+    ``sweep --status`` reader sees one event grammar.  *hooks* are
+    :func:`run_scenario`'s keyword arguments.
+    """
+    if journal_path is None:
+        return run_scenario(spec, **hooks)
+    journal = RunJournal(journal_path)
+    journal.write("start", name=spec.name)
+    try:
+        result = run_scenario(spec, journal=journal, **hooks)
+    except BaseException as exc:
+        journal.write("fail", error=str(exc))
+        journal.close()
+        raise
+    journal.write("finish", stopped_early=result.stopped_early)
+    journal.close()
+    return result
+
+
 def run_scenario_json(
     spec_json: str, journal_path: "Optional[str]" = None
 ) -> str:
@@ -293,28 +335,13 @@ def run_scenario_json(
     * the returned JSON never carries a ``metrics_report`` — wall
       times are volatile, and a worker's payload must not depend on
       whether the coordinator happened to enable instrumentation;
-    * progress goes out-of-band instead, as heartbeat lines appended
-      to *journal_path* (the sweep runner points this at the cell's
-      journal next to the cache manifest).
+    * progress goes out-of-band instead, as journal lines appended to
+      *journal_path* by :func:`run_journaled` (the sweep runner points
+      this at the cell's journal next to the cache manifest).
     """
-    spec = spec_from_json(spec_json)
-    journal: "Optional[RunJournal]" = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path)
-        journal.write("start", name=spec.name)
-    try:
-        result = run_scenario(spec, journal=journal)
-    except BaseException as exc:
-        if journal is not None:
-            journal.write("fail", error=str(exc))
-            journal.close()
-        raise
+    result = run_journaled(spec_from_json(spec_json), journal_path)
     result.metrics_report = {}
-    payload = result_to_json(result)
-    if journal is not None:
-        journal.write("finish", stopped_early=result.stopped_early)
-        journal.close()
-    return payload
+    return result_to_json(result)
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +513,9 @@ def _run_mrt(
             spec.name, [f"cannot open mrt archive {section.path!r}: {exc}"]
         ) from None
     workers = section.decode_workers
-    if workers is not None and pump.passive and proxy.supports_merge:
+    if workers is not None and workers > 1 and pump.passive and (
+        proxy.supports_merge
+    ):
         # Sharded parallel decode.  Workers feed fresh per-shard sinks
         # and the proxy merges their states, so the pump is bypassed —
         # legal exactly because it is passive.  Damage, a dying pool or

@@ -1,10 +1,81 @@
 """Tests for the command-line interface."""
 
-import io
+import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Table 1's printed labels -> the ``table1`` collector's metric keys.
+TABLE1_KEYS = {
+    "IPv4 prefixes": "ipv4_prefixes",
+    "IPv6 prefixes": "ipv6_prefixes",
+    "ASes": "ases",
+    "Sessions": "sessions",
+    "Peers": "peers",
+    "Announcements": "announcements",
+    "w/ communities": "with_communities",
+    "uniq. 16 bits": "unique_16bit_communities",
+    "uniq. AS paths": "unique_as_paths",
+    "Withdrawals": "withdrawals",
+}
+
+
+def table_rows(text, title):
+    """The body rows of the rendered table titled *title*, as cells."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index(title) + 3 :]:  # title, header, rule
+        if not line.strip():
+            break
+        rows.append(re.split(r"\s{2,}", line.strip()))
+    return rows
+
+
+def share(value):
+    return "-" if value is None else f"{value * 100:.1f}%"
+
+
+def assert_day_tables_match(out, metrics):
+    """Printed Tables 1/2 carry exactly the collectors' metrics."""
+    assert table_rows(out, "Table 1: overview") == [
+        [label, f"{metrics['table1'][key]:,}"]
+        for label, key in TABLE1_KEYS.items()
+    ]
+    full = metrics["table2"]["full_shares"]
+    beacon = metrics["table2"]["beacon_shares"] or {}
+    printed = table_rows(out, "Table 2: announcement types")
+    assert sorted(row[0] for row in printed) == sorted(full)
+    for code, _description, full_share, beacon_share in printed:
+        assert full_share == share(full[code])
+        assert beacon_share == share(beacon.get(code))
+
+
+def scenario_json(capsys, *argv):
+    assert main(["scenario", "run", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def small_archive(tmp_path):
+    """A two-update MRT archive from a three-node simulated network."""
+    from repro.netbase import Prefix
+    from repro.simulator import Network
+
+    network = Network()
+    origin = network.add_router("origin", 65001)
+    middle = network.add_router("middle", 65002)
+    collector = network.add_collector("rrc0")
+    network.connect(origin, middle)
+    network.connect(middle, collector)
+    origin.originate(Prefix("203.0.113.0/24"))
+    network.converge()
+    origin.withdraw_origination(Prefix("203.0.113.0/24"))
+    network.converge()
+    archive = tmp_path / "updates.mrt"
+    archive.write_bytes(collector.dump_mrt())
+    return str(archive)
 
 
 class TestParser:
@@ -44,25 +115,8 @@ class TestLabCommand:
 
 
 class TestClassifyCommand:
-    def test_classifies_archive(self, tmp_path, capsys):
-        # Build a small archive via the simulator.
-        from repro.netbase import Prefix
-        from repro.simulator import Network
-
-        network = Network()
-        origin = network.add_router("origin", 65001)
-        middle = network.add_router("middle", 65002)
-        collector = network.add_collector("rrc0")
-        network.connect(origin, middle)
-        network.connect(middle, collector)
-        origin.originate(Prefix("203.0.113.0/24"))
-        network.converge()
-        origin.withdraw_origination(Prefix("203.0.113.0/24"))
-        network.converge()
-        archive = tmp_path / "updates.mrt"
-        archive.write_bytes(collector.dump_mrt())
-
-        assert main(["classify", str(archive)]) == 0
+    def test_classifies_archive(self, small_archive, capsys):
+        assert main(["classify", small_archive]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Announcements" in out
@@ -76,6 +130,96 @@ class TestClassifyCommand:
         empty.write_bytes(b"")
         assert main(["classify", str(empty)]) == 1
         assert "no update messages" in capsys.readouterr().err
+
+
+class TestPresetsMatchScenarioRun:
+    """``lab``/``simulate``/``classify`` print what ``scenario run``
+    computes for the scenario each one presets."""
+
+    def test_lab_junos_rows_are_the_lab_junos_matrix(self, capsys):
+        assert main(["lab", "--vendor", "junos"]) == 0
+        out = capsys.readouterr().out
+        matrix = scenario_json(capsys, "lab-junos")["metrics"]["lab_matrix"]
+        rows = table_rows(out, "Lab behavior matrix (paper §3)")
+        assert rows == [
+            [cell.strip() for cell in row] for row in matrix["rows"]
+        ]
+        assert not out.startswith("scenario ")
+
+    def test_simulate_small_tables_are_internet_small_metrics(self, capsys):
+        assert main(["simulate", "--scale", "small"]) == 0
+        out = capsys.readouterr().out
+        metrics = scenario_json(capsys, "internet-small")["metrics"]
+        assert_day_tables_match(out, metrics)
+        assert metrics["table2"]["beacon_shares"] is not None
+
+    def test_classify_tables_are_mrt_replay_metrics(
+        self, small_archive, capsys
+    ):
+        assert main(["classify", small_archive]) == 0
+        out = capsys.readouterr().out
+        metrics = scenario_json(
+            capsys, "mrt-replay", "--input", small_archive
+        )["metrics"]
+        assert_day_tables_match(out, metrics)
+        assert metrics["table1"]["announcements"] == 1
+        assert metrics["table1"]["withdrawals"] == 1
+
+
+class TestJournalLifecycle:
+    """A CLI ``--journal`` run and a sweep worker journal alike."""
+
+    @staticmethod
+    def events(path):
+        from repro.obs.journal import read_journal
+
+        return [event["event"] for event in read_journal(str(path))]
+
+    def test_success_is_start_then_finish_in_both(self, tmp_path, capsys):
+        from repro.scenarios import get_scenario, spec_to_json
+        from repro.scenarios.engine import run_scenario_json
+
+        cli = tmp_path / "cli.jsonl"
+        worker = tmp_path / "worker.jsonl"
+        argv = ["scenario", "run", "lab-junos", "--journal", str(cli)]
+        assert main(argv) == 0
+        spec_json = spec_to_json(get_scenario("lab-junos"))
+        run_scenario_json(spec_json, str(worker))
+        assert self.events(cli) == self.events(worker) == ["start", "finish"]
+
+    def test_failure_is_start_then_fail_in_both(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from repro.scenarios import (
+            MrtSpec,
+            ScenarioValidationError,
+            get_scenario,
+            spec_to_json,
+        )
+        from repro.scenarios.engine import run_scenario_json
+
+        missing = str(tmp_path / "missing.mrt")
+        cli = tmp_path / "cli.jsonl"
+        worker = tmp_path / "worker.jsonl"
+        argv = ["scenario", "run", "mrt-replay", "--input", missing]
+        assert main([*argv, "--journal", str(cli)]) == 2
+        spec = replace(get_scenario("mrt-replay"), mrt=MrtSpec(path=missing))
+        with pytest.raises(ScenarioValidationError):
+            run_scenario_json(spec_to_json(spec), str(worker))
+        assert self.events(cli) == self.events(worker) == ["start", "fail"]
+
+    def test_any_run_failure_is_journaled(self, tmp_path, small_archive):
+        # Not just validation errors: a strict replay of a damaged
+        # archive fails mid-run, and the journal still says so.
+        from repro.mrt.records import MRTError
+
+        damaged = tmp_path / "damaged.mrt"
+        damaged.write_bytes(open(small_archive, "rb").read()[:-3])
+        cli = tmp_path / "cli.jsonl"
+        argv = ["scenario", "run", "mrt-replay-strict", "--input"]
+        with pytest.raises(MRTError):
+            main([*argv, str(damaged), "--journal", str(cli)])
+        assert self.events(cli) == ["start", "fail"]
 
 
 class TestScenarioParser:
@@ -170,6 +314,15 @@ class TestScenarioCommand:
         )
         assert main(["scenario", "run", "--spec-file", str(path)]) == 2
         assert "unknown collector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_run_rejects_heartbeat_cadence_below_one(self, every, capsys):
+        argv = ["scenario", "run", "topology-tiny", "--progress"]
+        assert main([*argv, "--heartbeat-every", every]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "heartbeat_every must be at least 1" in captured.err
 
     def test_run_json_output(self, capsys):
         assert main(["scenario", "run", "lab-junos", "--json"]) == 0

@@ -234,13 +234,19 @@ class TestRangeStream:
 # parallel replay == serial replay
 # ----------------------------------------------------------------------
 class TestShardedReplayIdentity:
-    def test_workers_1_matches_serial(self, archive):
+    def test_workers_1_matches_serial(self, archive, monkeypatch):
+        # One worker is the serial path itself: no index pass, no
+        # shard, no state round trip.
+        from repro.pipeline import parallel
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("workers=1 must not plan shards")
+
         serial_state, serial_stats = classifier_outcome(archive)
-        sharded_state, sharded_stats = classifier_outcome(
-            archive, workers=1
-        )
-        assert sharded_state == serial_state
-        assert sharded_stats == serial_stats
+        monkeypatch.setattr(parallel, "plan_shards", no_plan)
+        one_state, one_stats = classifier_outcome(archive, workers=1)
+        assert one_state == serial_state
+        assert one_stats == serial_stats
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_k_shard_merge_matches_serial(self, spill_archive, workers):

@@ -14,6 +14,7 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.obs.journal import read_journal
 from repro.scenarios import (
+    CadenceError,
     InternetSpec,
     ScenarioSpec,
     result_from_json,
@@ -171,6 +172,20 @@ class TestHeartbeats:
         # outright (heartbeat_every alone has nowhere to deliver).
         result = run_scenario(tiny_spec(), heartbeat_every=50)
         assert result.metrics_report == {}
+
+    @pytest.mark.parametrize("every", [0, -5])
+    @pytest.mark.parametrize("hook", ["heartbeat_every", "snapshot_every"])
+    def test_cadence_below_one_is_rejected_before_running(
+        self, hook, every
+    ):
+        # A modulo cadence below one either never fires (0) or fires on
+        # the wrong beat (-5 fires every 5); both are refused upfront.
+        payloads = []
+        with pytest.raises(CadenceError, match=hook):
+            run_scenario(
+                tiny_spec(), on_heartbeat=payloads.append, **{hook: every}
+            )
+        assert payloads == []
 
 
 class TestSerializeRoundTrip:

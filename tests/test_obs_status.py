@@ -231,6 +231,35 @@ class TestLost:
         )
         assert status2.cells[0].state == "running"
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_lost_after_is_rejected(self, tmp_path, bad):
+        # A threshold of zero or less would call every running cell
+        # lost, however fresh its journal.
+        cache = self.stale_cache(tmp_path, heartbeat_gap=5.0)
+        with pytest.raises(ValueError, match="lost_after"):
+            collect_sweep_status(str(cache), now=NOW, lost_after=bad)
+
+    def test_cli_rejects_negative_lost_after(self, tmp_path, capsys):
+        cache = self.stale_cache(tmp_path, heartbeat_gap=5.0)
+        assert (
+            main(
+                [
+                    "scenario",
+                    "sweep",
+                    "--status",
+                    "--cache-dir",
+                    str(cache),
+                    "--lost-after",
+                    "-1",
+                ]
+            )
+            == 2
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "lost_after" in captured.err
+
     def test_start_only_journal_uses_default_window(self, tmp_path):
         # No heartbeat interval to calibrate from: the 300s default
         # applies, so a 100s-quiet cell is still running...

@@ -26,6 +26,7 @@ from repro.mrt.reader import MRTReader
 from repro.mrt.records import Bgp4mpMessage, MRTError
 from repro.mrt.writer import dump_records
 from repro.netbase import prefix as prefix_module
+from repro.netbase.memo import set_memo_enabled
 from repro.netbase.prefix import Prefix
 from repro.pipeline import replay_mrt
 from repro.scenarios import (
@@ -62,13 +63,9 @@ def record(timestamp=1584230400.25, message=None, peer_asn=20205):
 @pytest.fixture
 def all_memos_on():
     """Reset every decode memo before and after (tests mutate them)."""
-    wire.set_decode_memo(True)
-    prefix_module.set_nlri_memo(True)
-    mrt_records.set_address_memo(True)
+    set_memo_enabled(True)
     yield
-    wire.set_decode_memo(True)
-    prefix_module.set_nlri_memo(True)
-    mrt_records.set_address_memo(True)
+    set_memo_enabled(True)
 
 
 def et_record_bytes(length: int, subtype: int = 4) -> bytes:
@@ -261,9 +258,7 @@ class TestDecodeMemo:
     def test_cached_equals_uncached(self, all_memos_on):
         data = self.archive()
         fast = list(MRTReader(io.BytesIO(data)))
-        wire.set_decode_memo(False)
-        prefix_module.set_nlri_memo(False)
-        mrt_records.set_address_memo(False)
+        set_memo_enabled(False)
         naive = list(MRTReader(io.BytesIO(data)))
         assert len(fast) == len(naive)
         for cached, plain in zip(fast, naive):
@@ -299,10 +294,24 @@ class TestDecodeMemo:
             return classifier.counts.counts
 
         fast = dict(classify())
-        wire.set_decode_memo(False)
-        prefix_module.set_nlri_memo(False)
-        mrt_records.set_address_memo(False)
+        set_memo_enabled(False)
         assert dict(classify()) == fast
+
+    def test_disabled_switch_empties_and_keeps_every_memo_empty(
+        self, all_memos_on
+    ):
+        data = self.archive()
+        list(MRTReader(io.BytesIO(data)))
+        assert any(wire.decode_memo_sizes().values())
+        assert set_memo_enabled(False) is True
+        assert not any(wire.decode_memo_sizes().values())
+        reader = MRTReader(io.BytesIO(data))
+        assert len(list(reader)) == 40
+        assert not any(wire.decode_memo_sizes().values())
+        assert prefix_module.nlri_memo_size() == 0
+        assert mrt_records.address_memo_size() == 0
+        assert reader._envelopes == {}
+        assert set_memo_enabled(True) is False
 
     def test_attr_block_memo_is_bounded(self, all_memos_on, monkeypatch):
         monkeypatch.setattr(wire, "_MEMO_LIMIT", 8)
