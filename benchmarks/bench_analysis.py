@@ -25,12 +25,15 @@ and a fingerprint over every re-encoded record must be bit-identical,
 proving the interning caches are a pure optimization.
 
 Since the parallel sharded decode landed, every run additionally
-verifies the sharded path: classifier state + reader stats must
-fingerprint identically to the serial pass at every requested worker
-count with zero ``mrt.shard.fallback`` ticks, and a worker-count
-scaling curve (``parallel_decode_classify_obs_per_sec``) is recorded
-next to the serial rates, together with the box's ``cpu_count`` so a
-flat curve on a small machine reads as hardware, not regression.
+verifies the sharded path: §5 counts + reader stats must fingerprint
+identically to the serial pass at every requested worker count with
+zero ``mrt.shard.fallback`` ticks and one shard-stats row per planned
+shard.  The sharded side replays into a collector proxy carrying only
+``update_counts``, the one sink the decode shards.  A worker-count
+scaling curve over that proxy
+(``parallel_decode_classify_obs_per_sec``) is recorded next to the
+serial rates, together with the box's ``cpu_count`` so a flat curve
+on a small machine reads as hardware, not regression.
 
 Usage::
 
@@ -74,11 +77,17 @@ sys.path.insert(
 from repro.analysis.classify import TYPE_ORDER, UpdateClassifier  # noqa: E402
 from repro.bgp.wire import encode_message  # noqa: E402
 from repro.mrt.reader import MRTReader  # noqa: E402
+from repro.mrt.shard import plan_shards  # noqa: E402
 from repro.netbase.memo import set_memo_enabled  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.pipeline.parallel import FALLBACK_COUNTER  # noqa: E402
 from repro.pipeline.stream import replay_mrt  # noqa: E402
-from repro.scenarios import get_scenario, run_scenario, spec_hash  # noqa: E402
+from repro.scenarios import (  # noqa: E402
+    get_scenario,
+    make_collectors,
+    run_scenario,
+    spec_hash,
+)
 from repro.simulator.session import BGPSession  # noqa: E402
 
 #: config name -> (spill scenario, amplification factor).
@@ -261,51 +270,78 @@ def verify_fast_vs_naive(config: str, path: str) -> dict:
 
 def classify_fingerprint(
     path: str, workers: "int | None" = None
-) -> "tuple[str, int]":
-    """(sha256-16 over classifier state + reader stats, fallback ticks).
+) -> "tuple[str, int, int]":
+    """(sha256-16 over §5 counts + reader stats, fallbacks, shard rows).
 
-    The fingerprint covers the full exported classifier state — every
-    §5 type count, unclassified-first and withdrawal tallies — plus the
-    reader's record/skip/error/observation totals, so a sharded run
-    that matches the serial fingerprint decoded, classified and merged
-    bit-identically.  Fallback ticks are read from the gated
+    The fingerprint covers every §5 type count, unclassified-first and
+    withdrawal tallies plus the reader's record/skip/error/observation
+    totals, so a sharded run that matches the serial fingerprint
+    decoded, classified and merged bit-identically.  The serial pass
+    replays into a bare classifier; a sharded pass needs the one sink
+    the parallel decode shards, a collector proxy, here carrying only
+    ``update_counts``.  Fallback ticks are read from the gated
     ``mrt.shard.fallback`` counter; a verified run must show zero.
     """
-    classifier = UpdateClassifier()
+    if workers is not None and workers > 1:
+        sink = make_collectors(["update_counts"])
+        counts = sink.type_counts
+    else:
+        sink = UpdateClassifier()
+        counts = sink.counts
     stats: dict = {}
+    shard_stats: list = []
     with obs_metrics.enabled_scope():
         obs_metrics.reset_metrics()
         replay_mrt(
-            path, classifier, collector="bench", stats=stats, workers=workers
+            path,
+            sink,
+            collector="bench",
+            stats=stats,
+            workers=workers,
+            shard_stats=shard_stats,
         )
         fallbacks = obs_metrics.registry().counter_value(FALLBACK_COUNTER)
     payload = json.dumps(
-        {"state": classifier.export_state(), "stats": stats},
+        {"state": {"counts": counts.to_dict()}, "stats": stats},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16], fallbacks
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return digest, fallbacks, len(shard_stats)
 
 
 def verify_sharded_vs_serial(
     config: str, path: str, worker_counts: "tuple[int, ...]"
 ) -> dict:
-    """Require the sharded decode to match serial at every worker count."""
-    serial_print, _ = classify_fingerprint(path)
+    """Require the sharded decode to match serial at every worker count.
+
+    A count above one must also have really sharded: one shard-stats
+    row per planned shard.
+    """
+    serial_print, _, _ = classify_fingerprint(path)
     for workers in worker_counts:
-        sharded_print, fallbacks = classify_fingerprint(path, workers=workers)
-        match = sharded_print == serial_print and fallbacks == 0
+        sharded_print, fallbacks, shards = classify_fingerprint(
+            path, workers=workers
+        )
+        planned = len(plan_shards(path, workers).shards) if workers > 1 else 0
+        match = (
+            sharded_print == serial_print
+            and fallbacks == 0
+            and shards == planned
+        )
         print(
             f"{config}: sharded workers={workers} {sharded_print}"
-            f" vs serial {serial_print} ({fallbacks} fallback(s)) ->"
+            f" vs serial {serial_print} ({fallbacks} fallback(s),"
+            f" {shards}/{planned} shard(s)) ->"
             f" {'IDENTICAL' if match else 'MISMATCH'}"
         )
         if not match:
             raise SystemExit(
                 f"verification failure on {config}: sharded decode at"
-                f" workers={workers} diverged from serial (sharded"
+                f" workers={workers} did not verify against serial (sharded"
                 f" {sharded_print} vs serial {serial_print},"
-                f" {fallbacks} fallback(s))"
+                f" {fallbacks} fallback(s), {shards} of {planned}"
+                f" planned shard(s) ran)"
             )
     return {
         "sharded_fingerprint": serial_print,
@@ -314,11 +350,11 @@ def verify_sharded_vs_serial(
 
 
 def measure_parallel_classify(path: str, workers: int) -> "tuple[float, int]":
-    classifier = UpdateClassifier()
+    proxy = make_collectors(["update_counts"])
     stats: dict = {}
     started = time.perf_counter()
     observations = replay_mrt(
-        path, classifier, collector="bench", stats=stats, workers=workers
+        path, proxy, collector="bench", stats=stats, workers=workers
     )
     elapsed = time.perf_counter() - started
     return (observations / elapsed if elapsed else 0.0, observations)

@@ -212,6 +212,20 @@ print(result["spill_paths"]["rrc00"])
 ' "$CACHE_DIR/spill-result.json")"
 echo "spilled archive: $SPILL_PATH"
 python -m repro scenario run mrt-replay --input "$SPILL_PATH"
+# The same archive cut short by 7 bytes is bad input data: a strict
+# replay must exit 3 with exactly one stderr line, not a traceback.
+TRUNCATED="$CACHE_DIR/truncated.mrt"
+python -c '
+import sys
+data = open(sys.argv[1], "rb").read()
+open(sys.argv[2], "wb").write(data[:-7])
+' "$SPILL_PATH" "$TRUNCATED"
+STATUS=0
+python -m repro scenario run mrt-replay-strict --input "$TRUNCATED" \
+    > /dev/null 2> "$CACHE_DIR/strict.err" || STATUS=$?
+cat "$CACHE_DIR/strict.err" >&2
+test "$STATUS" -eq 3
+test "$(wc -l < "$CACHE_DIR/strict.err")" -eq 1
 
 echo
 echo "== smoke: preset commands =="

@@ -9,7 +9,10 @@ MRT files) into the paper's results:
   (unallocated ASN/prefix removal, route-server AS-path repair,
   same-second timestamp disambiguation);
 * :mod:`repro.analysis.classify` — the §5 announcement-type taxonomy
-  (``pc pn nc nn xc xn``);
+  (``pc pn nc nn xc xn``).  A scenario run types each observation
+  once, in the collector proxy's :class:`UpdateClassifier`, and every
+  metric collector reads that one tally
+  (:mod:`repro.scenarios.collectors`);
 * :mod:`repro.analysis.exploration` — §6 community-exploration and
   duplicate-burst detection around beacon withdrawal phases;
 * :mod:`repro.analysis.revealed` — §6 revealed-information analysis;
@@ -21,7 +24,6 @@ from repro.analysis.observations import (
     Observation,
     ObservationKind,
     SessionKey,
-    StreamGrouper,
     explode_update,
     observations_from_collector,
     observations_from_mrt,
@@ -31,7 +33,6 @@ from repro.analysis.classify import (
     AnnouncementType,
     UpdateClassifier,
     TypeCounts,
-    classify_stream,
     classify_observations,
 )
 from repro.analysis.cleaning import (
@@ -68,7 +69,6 @@ __all__ = [
     "Observation",
     "ObservationKind",
     "SessionKey",
-    "StreamGrouper",
     "explode_update",
     "observations_from_collector",
     "observations_from_mrt",
@@ -76,7 +76,6 @@ __all__ = [
     "AnnouncementType",
     "UpdateClassifier",
     "TypeCounts",
-    "classify_stream",
     "classify_observations",
     "CleaningPipeline",
     "CleaningReport",

@@ -127,10 +127,6 @@ class TypeCounts:
     unclassified_first: int = 0
     withdrawals: int = 0
 
-    def add(self, announcement_type: AnnouncementType) -> None:
-        """Count one classified announcement."""
-        self.counts[announcement_type] += 1
-
     def tally(self, observation: Observation, announcement_type) -> None:
         """Count one observation under the type its classifier gave."""
         if announcement_type is not None:
@@ -183,7 +179,7 @@ class TypeCounts:
         ]
 
     def to_dict(self) -> dict:
-        """JSON-serializable form for the sharded-decode protocol."""
+        """JSON-serializable form (the collector proxy's shard state)."""
         return {
             "counts": {kind.value: self.counts[kind] for kind in TYPE_ORDER},
             "unclassified_first": self.unclassified_first,
@@ -207,10 +203,6 @@ class UpdateClassifier:
     classifier keeps the last-seen announcement state per
     (session, prefix) stream and emits a type per announcement.
     """
-
-    #: Sharded-decode job protocol tag; the parallel replay layer
-    #: rebuilds a fresh classifier per shard from this name.
-    shard_sink_kind = "classifier"
 
     def __init__(self):
         self._last_state: Dict[tuple, "tuple[Optional[ASPath], CommunitySet]"] = {}
@@ -301,22 +293,6 @@ class UpdateClassifier:
     def close(self) -> None:
         """Sink hook; classification state needs no finalization."""
 
-    # ------------------------------------------------------------------
-    # sharded-decode merge protocol
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Serialize the mergeable classification state as JSON data.
-
-        Only the counts travel: the per-stream ``_last_state`` never
-        needs to cross shards because the shard planner keeps every
-        (session, prefix) stream whole within one shard.
-        """
-        return {"counts": self.counts.to_dict()}
-
-    def merge_state(self, state: dict) -> None:
-        """Accumulate one shard's exported state, in shard order."""
-        self.counts.merge(TypeCounts.from_dict(state["counts"]))
-
 
 def classify_observations(
     observations: Iterable[Observation],
@@ -326,11 +302,3 @@ def classify_observations(
     for _ in classifier.observe_all(observations):
         pass
     return classifier.counts
-
-
-def classify_stream(
-    stream: "List[Observation]",
-) -> "List[ClassifiedAnnouncement]":
-    """Classify a single (session, prefix) stream, returning labels."""
-    classifier = UpdateClassifier()
-    return list(classifier.observe_all(stream))

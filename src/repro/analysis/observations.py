@@ -18,7 +18,6 @@ from repro.bgp.aspath import ASPath
 from repro.bgp.community import CommunitySet
 from repro.bgp.message import UpdateMessage
 from repro.mrt.records import Bgp4mpMessage
-from repro.netbase.asn import ASN
 from repro.netbase.prefix import Prefix
 
 
@@ -135,35 +134,6 @@ def observations_from_mrt(
         yield from explode_update(record.timestamp, session, record.message)
 
 
-class StreamGrouper:
-    """Incremental (session, prefix) grouper — the online form of
-    :func:`group_into_streams`.
-
-    Push observations in arrival order; :attr:`streams` is always the
-    grouping of everything seen so far, so a live pipeline can inspect
-    per-stream state mid-run instead of waiting for the feed to end.
-    Usable directly as a pipeline sink (``push``/``close``).
-    """
-
-    def __init__(self):
-        self.streams: "Dict[tuple, List[Observation]]" = {}
-        self.observations = 0
-
-    def push(self, observation: Observation) -> "tuple":
-        """Add one observation; returns its stream key."""
-        key = observation.stream_key()
-        self.streams.setdefault(key, []).append(observation)
-        self.observations += 1
-        return key
-
-    def close(self) -> None:
-        """Pipeline sink hook; grouping state needs no finalization."""
-
-    def stream(self, key: "tuple") -> "List[Observation]":
-        """One stream's observations so far (empty if unseen)."""
-        return self.streams.get(key, [])
-
-
 def group_into_streams(
     observations: Iterable[Observation],
 ) -> "Dict[tuple, List[Observation]]":
@@ -171,19 +141,8 @@ def group_into_streams(
 
     The input must already be in arrival order (collector archives and
     MRT files are); each output list is then automatically ordered.
-    Batch wrapper over :class:`StreamGrouper`.
     """
-    grouper = StreamGrouper()
+    streams: "Dict[tuple, List[Observation]]" = {}
     for observation in observations:
-        grouper.push(observation)
-    return grouper.streams
-
-
-def peer_ases(observations: Iterable[Observation]) -> "set[ASN]":
-    """Distinct peer ASNs across observations."""
-    return {ASN(obs.session.peer_asn) for obs in observations}
-
-
-def sessions_of(observations: Iterable[Observation]) -> "set[SessionKey]":
-    """Distinct sessions across observations."""
-    return {obs.session for obs in observations}
+        streams.setdefault(observation.stream_key(), []).append(observation)
+    return streams

@@ -30,6 +30,11 @@ belongs to the designated emitters — :func:`_emit` for human tables,
 always one parseable document; everything diagnostic says
 ``file=sys.stderr``.
 
+Exit codes: 0 success; 1 a failed run (or findings, for ``check`` and
+``doctor``); 2 a usage or spec error; 3 input data that cannot be
+decoded (:class:`~repro.mrt.records.InputDataError`, e.g. a strict
+replay of a damaged archive), reported as one stderr line.
+
 Runs as ``repro`` (console script), ``python -m repro`` or
 ``python -m repro.cli``.
 """
@@ -42,6 +47,9 @@ import sys
 from typing import Optional, Sequence
 
 from repro.reports import format_share, render_kv_table, render_table
+
+#: Exit code of a run stopped by input data it cannot decode.
+EXIT_INPUT_DATA = 3
 
 
 def _emit(*values, sep: str = " ", end: str = "\n") -> None:
@@ -437,6 +445,7 @@ def _preset_spec(arguments):
 
 def _run_preset(arguments) -> int:
     """Run a preset's scenario and print its tables (no header line)."""
+    from repro.mrt.records import InputDataError
     from repro.scenarios import ScenarioValidationError, run_scenario
 
     try:
@@ -444,6 +453,9 @@ def _run_preset(arguments) -> int:
     except ScenarioValidationError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    except InputDataError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT_DATA
     if result.spec.kind == "mrt" and not result.reader_stats.get(
         "observations"
     ):
@@ -525,6 +537,7 @@ def _scenario_run(arguments) -> int:
     import json
 
     from repro import obs
+    from repro.mrt.records import InputDataError
     from repro.scenarios import (
         CadenceError,
         ScenarioValidationError,
@@ -577,6 +590,9 @@ def _scenario_run(arguments) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(message, file=sys.stderr)
         return 2
+    except InputDataError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT_DATA
     if arguments.metrics_out is not None:
         with open(arguments.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(

@@ -28,6 +28,18 @@ class MRTError(ValueError):
     """An MRT record is malformed or uses an unsupported subtype."""
 
 
+class InputDataError(MRTError):
+    """An archive that cannot be decoded: bad input, not a program bug.
+
+    Raised once, at the decode boundary of a replay, for the damage the
+    reader reports, with a message naming the archive and the damage.
+    The CLI prints it as one stderr line and exits 3.
+    """
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot decode {path}: {reason}")
+
+
 class MRTType(enum.IntEnum):
     """MRT record type codes (subset)."""
 

@@ -8,9 +8,9 @@ archive on one core.  This module is the fan-out half of the story:
    wholly in one shard (§5 semantics preserved by construction);
 2. each shard is decoded and classified by a worker process via the
    same JSON-strings-only protocol the sweep backends speak — archive
-   path plus byte ranges in, exported sink state plus reader stats
-   out;
-3. the coordinator folds the shard states back into the caller's sink
+   path plus byte ranges in, exported collector-proxy state plus
+   reader stats out;
+3. the coordinator folds the shard states back into the caller's proxy
    in shard-index order, so the merged result is byte-identical to
    the serial pass (``bench_analysis.py --verify`` pins this at every
    worker count).
@@ -48,42 +48,19 @@ STAT_KEYS = (
 )
 
 
-def sink_spec_for(sink) -> "Optional[dict]":
-    """The JSON job description of *sink*, or None if not shardable.
+def shard_collectors(sink) -> "Optional[List[str]]":
+    """The collector names a worker rebuilds *sink* from, or None.
 
-    A sink opts in by exposing ``shard_sink_kind`` plus the
-    ``export_state``/``merge_state`` pair; a collector proxy must
-    additionally have only merge-capable collectors attached.
+    Only a :class:`~repro.scenarios.collectors.CollectorProxy` whose
+    collectors all merge shard state can shard; any other sink takes
+    the serial path.
     """
-    kind = getattr(sink, "shard_sink_kind", None)
-    if kind is None:
+    # Late import: the scenario layer sits above the pipeline.
+    from repro.scenarios.collectors import CollectorProxy
+
+    if not isinstance(sink, CollectorProxy) or not sink.supports_merge:
         return None
-    if kind == "collectors":
-        if not sink.supports_merge:
-            return None
-        return {
-            "kind": kind,
-            "names": [collector.name for collector in sink.collectors],
-        }
-    return {"kind": kind}
-
-
-def build_shard_sink(sink_spec: dict):
-    """Rebuild a fresh sink from its job description (worker side)."""
-    kind = sink_spec["kind"]
-    if kind == "classifier":
-        from repro.analysis.classify import UpdateClassifier
-
-        return UpdateClassifier()
-    if kind == "attributor":
-        from repro.analysis.duplicates import DuplicateAttributor
-
-        return DuplicateAttributor()
-    if kind == "collectors":
-        from repro.scenarios.collectors import make_collectors
-
-        return make_collectors(sink_spec["names"])
-    raise ValueError(f"unknown shard sink kind {kind!r}")
+    return [collector.name for collector in sink.collectors]
 
 
 def decode_shard_json(job_json: str) -> str:
@@ -99,8 +76,9 @@ def decode_shard_json(job_json: str) -> str:
     try:
         started = time.perf_counter()
         from repro.pipeline.stream import replay_mrt
+        from repro.scenarios.collectors import make_collectors
 
-        sink = build_shard_sink(job["sink"])
+        sink = make_collectors(job["collectors"])
         stats: "Dict[str, int]" = {}
         with open(job["path"], "rb") as handle:
             stream = RangeStream(
@@ -131,7 +109,7 @@ def try_sharded_replay(
     path: str,
     *,
     workers: int,
-    sink_spec: dict,
+    collectors: "List[str]",
     collector: str = "mrt",
     tolerant: bool = True,
 ) -> "Optional[List[dict]]":
@@ -153,7 +131,7 @@ def try_sharded_replay(
                 "ranges": [list(item) for item in shard.ranges],
                 "collector": collector,
                 "tolerant": tolerant,
-                "sink": sink_spec,
+                "collectors": collectors,
                 "shard_index": shard.index,
             },
             sort_keys=True,

@@ -28,7 +28,7 @@ import io
 import os
 import tempfile
 from collections import deque
-from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence
+from typing import Iterator, List, Optional, Protocol, Sequence
 
 from repro import faults
 
@@ -57,62 +57,6 @@ class SinkBase:
 
     def close(self) -> None:
         """Release resources (default: nothing to release)."""
-
-
-class CallbackSink(SinkBase):
-    """Adapt a plain callable into a sink."""
-
-    def __init__(self, callback: "Callable", on_close: "Optional[Callable]" = None):
-        self._callback = callback
-        self._on_close = on_close
-
-    def push(self, item) -> None:
-        self._callback(item)
-
-    def close(self) -> None:
-        if self._on_close is not None:
-            self._on_close()
-
-
-class CountingSink(SinkBase):
-    """Count items, optionally forwarding them downstream."""
-
-    def __init__(self, downstream: "Optional[Sink]" = None):
-        self.count = 0
-        self._downstream = downstream
-
-    def push(self, item) -> None:
-        self.count += 1
-        if self._downstream is not None:
-            self._downstream.push(item)
-
-    def close(self) -> None:
-        if self._downstream is not None:
-            self._downstream.close()
-
-
-class Tee(SinkBase):
-    """Fan one stream out to several sinks, in attachment order."""
-
-    def __init__(self, sinks: "Iterable[Sink]" = ()):
-        self.sinks: "List[Sink]" = list(sinks)
-
-    def attach(self, sink: "Sink") -> "Sink":
-        """Add a sink; returns it for chaining."""
-        self.sinks.append(sink)
-        return sink
-
-    def detach(self, sink: "Sink") -> None:
-        """Remove a previously attached sink."""
-        self.sinks.remove(sink)
-
-    def push(self, item) -> None:
-        for sink in self.sinks:
-            sink.push(item)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 class SequenceView(Sequence):

@@ -16,11 +16,13 @@ identical observation path a live simulation uses.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Dict, Iterator, Optional, Union
+import os
+from typing import BinaryIO, Dict, Optional, Union
 
 from repro.analysis.observations import SessionKey, explode_update
+from repro.bgp.errors import WireFormatError
 from repro.bgp.message import UpdateMessage
-from repro.mrt.records import Bgp4mpMessage
+from repro.mrt.records import Bgp4mpMessage, InputDataError, MRTError
 from repro.pipeline.sinks import Sink, SinkBase
 
 
@@ -106,7 +108,10 @@ def replay_mrt(
 
     *source* is a path or an open binary stream.  Returns the number
     of observations delivered.  A :class:`PipelineStop` raised by the
-    sink propagates to the caller after the reader is released.
+    sink propagates to the caller after the reader is released.  A
+    strict replay (*tolerant* false) of a damaged archive raises
+    :class:`~repro.mrt.records.InputDataError`, naming the archive and
+    the damage; errors the sink raises are never converted.
 
     When *stats* is a dict it is filled with the replay's bookkeeping —
     ``records``, ``skipped_records``, ``error_records`` (tolerant-mode
@@ -120,24 +125,25 @@ def replay_mrt(
     partitioned by session, shards decode+classify on a process pool,
     and per-shard sink state merges back in shard order — proven
     byte-identical to the serial pass.  It engages only when *source*
-    is a path and *sink* speaks the merge protocol (see
-    :mod:`repro.pipeline.parallel`); anything else — including damage
-    the index pass cannot attribute, or a dying worker — degrades to
-    this very serial path with the ``mrt.shard.fallback`` counter
-    ticked.  *shard_stats*, when a list, receives one per-shard
-    reader-stats row on a successful parallel run.
+    is a path and *sink* is a collector proxy whose collectors all
+    merge (see :mod:`repro.pipeline.parallel`); anything else —
+    including damage the index pass cannot attribute, or a dying
+    worker — degrades to this very serial path with the
+    ``mrt.shard.fallback`` counter ticked.  *shard_stats*, when a
+    list, receives one per-shard reader-stats row on a successful
+    parallel run.
     """
     if workers is not None and workers > 1 and isinstance(
         source, (str, bytes)
     ):
         from repro.pipeline import parallel
 
-        sink_spec = parallel.sink_spec_for(sink)
-        if sink_spec is not None:
+        collectors = parallel.shard_collectors(sink)
+        if collectors is not None:
             replies = parallel.try_sharded_replay(
                 source,
                 workers=workers,
-                sink_spec=sink_spec,
+                collectors=collectors,
                 collector=collector,
                 tolerant=tolerant,
             )
@@ -154,14 +160,26 @@ def replay_mrt(
     stream = ObservationStream(sink)
     if isinstance(source, (str, bytes)):
         handle: "Optional[BinaryIO]" = open(source, "rb")
+        name = os.fsdecode(source)
     else:
         handle = None
+        name = str(getattr(source, "name", "<stream>"))
     reader_stream = handle if handle is not None else source
     reader = MRTReader(reader_stream, tolerant=tolerant)
     records = 0
     try:
         push_bgp4mp = stream.push_bgp4mp
-        for record in reader:
+        # The decode boundary: damage the reader raises becomes one
+        # InputDataError, while anything the sink raises propagates
+        # untouched.
+        next_record = iter(reader).__next__
+        while True:
+            try:
+                record = next_record()
+            except StopIteration:
+                break
+            except (MRTError, WireFormatError) as exc:
+                raise InputDataError(name, str(exc)) from exc
             records += 1
             push_bgp4mp(record, collector)
     finally:
@@ -176,16 +194,3 @@ def replay_mrt(
     if close_sink:
         sink.close()
     return stream.observations_emitted
-
-
-def observations_from_mrt_file(
-    path: str, *, collector: str = "mrt", tolerant: bool = True
-) -> Iterator:
-    """Lazily yield observations from an on-disk MRT archive."""
-    from repro.analysis.observations import observations_from_mrt
-    from repro.mrt.reader import MRTReader
-
-    with open(path, "rb") as handle:
-        yield from observations_from_mrt(
-            MRTReader(handle, tolerant=tolerant), collector
-        )

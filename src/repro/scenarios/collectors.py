@@ -34,7 +34,7 @@ from repro.netbase.prefix import Prefix
 
 
 class ScenarioContext:
-    """Run-scoped facts collectors may need (beacons, spec, day).
+    """Run-scoped facts collectors read: spec, beacons, day, §5 tally.
 
     With live-sink streaming the context is created *before* the
     simulation is built, so fields that only exist later (beacon
@@ -48,10 +48,22 @@ class ScenarioContext:
         self.beacon_prefixes = set(beacon_prefixes or ())
         #: The :class:`SimulatedDay` for internet runs, else ``None``.
         self.day = day
+        #: The run's one §5 tally: the proxy's classifier counts, set
+        #: by :meth:`CollectorProxy.start` and merged across decode
+        #: shards.  Collectors derive every type, announcement and
+        #: withdrawal count from it instead of keeping their own.
+        self.type_counts: "Optional[TypeCounts]" = None
 
 
 class MetricCollector:
-    """Base collector: subclass and override the hooks you need."""
+    """Base collector: subclass and override the hooks you need.
+
+    The §5 counts are not a collector's to keep: the proxy types every
+    observation once and its tally reaches each collector as
+    ``self.context.type_counts`` (see :class:`ScenarioContext`).  A
+    collector whose metrics derive from that tally alone needs no
+    :meth:`observe` at all.
+    """
 
     #: Registry key; subclasses must set it.
     name: str = ""
@@ -63,8 +75,17 @@ class MetricCollector:
     #: that every (session, prefix) stream lives wholly in one shard.
     supports_merge = False
 
+    #: The run's context, set by :meth:`start`.
+    context: "Optional[ScenarioContext]" = None
+
     def start(self, context: ScenarioContext) -> None:
-        """Called once before any event is delivered."""
+        """Called once before any event is delivered.
+
+        Keeps the reference, not a copy: under live streaming the
+        engine fills in beacon prefixes only after this fires, and the
+        shared counts grow (or merge) until finish.
+        """
+        self.context = context
 
     def observe(self, observation: Observation, announcement_type) -> None:
         """One per-prefix collector observation (internet runs).
@@ -90,49 +111,60 @@ class MetricCollector:
         return self.finish()
 
     def export_state(self) -> dict:
-        """Mergeable state as JSON data (``supports_merge`` only)."""
-        raise NotImplementedError(
-            f"collector {self.name!r} does not support sharded merge"
-        )
+        """This collector's own mergeable state as JSON data.
+
+        Only consulted when ``supports_merge`` is set.  The default
+        suits a collector that reads nothing but the shared counts,
+        which the proxy ships itself.
+        """
+        return {}
 
     def merge_state(self, state: dict) -> None:
-        """Fold one shard's exported state in (``supports_merge`` only)."""
-        raise NotImplementedError(
-            f"collector {self.name!r} does not support sharded merge"
-        )
+        """Fold one shard's :meth:`export_state` in."""
 
 
 class CollectorProxy:
     """Fans events out to every attached collector.
 
     The proxy owns the run's one §5 :class:`UpdateClassifier`: each
-    observation is typed once here and the type handed to every
-    collector, so no collector classifies on its own.
+    observation is typed and counted once here, the type handed to
+    every collector and the counts shared through the context, so no
+    collector classifies or tallies types on its own.
 
     Usable directly as a pipeline sink: :meth:`push` is
     :meth:`observe`, so the engine can terminate a live observation
-    stream with the proxy itself.
+    stream with the proxy itself.  It is also the one sink the
+    parallel MRT decode can shard (:mod:`repro.pipeline.parallel`).
     """
-
-    #: Sharded-decode job protocol tag: workers rebuild the proxy from
-    #: the collector names (see :mod:`repro.pipeline.parallel`).
-    shard_sink_kind = "collectors"
 
     def __init__(self, collectors: "Iterable[MetricCollector]"):
         self.collectors: "List[MetricCollector]" = list(collectors)
         #: Observations delivered so far (mid-run progress indicator).
         self.observed = 0
         self._classifier = UpdateClassifier()
+        # Collectors that read only the shared counts skip the
+        # per-observation call entirely.
+        self._observers = [
+            collector.observe
+            for collector in self.collectors
+            if type(collector).observe is not MetricCollector.observe
+        ]
+
+    @property
+    def type_counts(self) -> TypeCounts:
+        """The run's one §5 tally (every collector reads this)."""
+        return self._classifier.counts
 
     def start(self, context: ScenarioContext) -> None:
+        context.type_counts = self._classifier.counts
         for collector in self.collectors:
             collector.start(context)
 
     def observe(self, observation: Observation) -> None:
         self.observed += 1
         announcement_type = self._classifier.observe(observation)
-        for collector in self.collectors:
-            collector.observe(observation, announcement_type)
+        for observe in self._observers:
+            observe(observation, announcement_type)
 
     def observe_lab(self, result) -> None:
         for collector in self.collectors:
@@ -168,13 +200,17 @@ class CollectorProxy:
 
     def export_state(self) -> dict:
         return {
-            collector.name: collector.export_state()
-            for collector in self.collectors
+            "types": self._classifier.counts.to_dict(),
+            "collectors": {
+                collector.name: collector.export_state()
+                for collector in self.collectors
+            },
         }
 
     def merge_state(self, state: dict) -> None:
+        self._classifier.counts.merge(TypeCounts.from_dict(state["types"]))
         for collector in self.collectors:
-            collector.merge_state(state[collector.name])
+            collector.merge_state(state["collectors"][collector.name])
 
 
 # ----------------------------------------------------------------------
@@ -222,18 +258,10 @@ class UpdateCountsCollector(MetricCollector):
     name = "update_counts"
     supports_merge = True
 
-    def __init__(self):
-        self._counts = TypeCounts()
-        self._observations = 0
-
-    def observe(self, observation, announcement_type) -> None:
-        self._observations += 1
-        self._counts.tally(observation, announcement_type)
-
     def finish(self) -> dict:
-        counts = self._counts
+        counts = self.context.type_counts
         return {
-            "observations": self._observations,
+            "observations": counts.withdrawals + counts.announcements_total,
             "announcements": counts.announcements_total,
             "withdrawals": counts.withdrawals,
             "types": {
@@ -241,15 +269,50 @@ class UpdateCountsCollector(MetricCollector):
             },
         }
 
+
+class _CommunityTally:
+    """Community-bearing announcements and their distinct 16-bit values.
+
+    The community half of Table 1, which ``community_prevalence``
+    reports on its own.  Decode interning repeats the same
+    :class:`CommunitySet` objects, so each distinct set is unpacked
+    once.
+    """
+
+    def __init__(self):
+        self.with_communities = 0
+        self.unique_16bit: set = set()
+        self._seen_sets: set = set()
+
+    def add(self, communities) -> None:
+        """Count one announcement's community attribute."""
+        if communities.is_empty():
+            return
+        self.with_communities += 1
+        if communities not in self._seen_sets:
+            self._seen_sets.add(communities)
+            self.unique_16bit.update(
+                community.value for community in communities.classic
+            )
+
+    def metrics(self, announcements: int) -> dict:
+        share = self.with_communities / announcements if announcements else 0.0
+        return {
+            "announcements": announcements,
+            "with_communities": self.with_communities,
+            "community_share": share,
+            "unique_16bit_communities": len(self.unique_16bit),
+        }
+
     def export_state(self) -> dict:
         return {
-            "observations": self._observations,
-            "classifier": {"counts": self._counts.to_dict()},
+            "with_communities": self.with_communities,
+            "unique_16bit": sorted(self.unique_16bit),
         }
 
     def merge_state(self, state: dict) -> None:
-        self._observations += int(state["observations"])
-        self._counts.merge(TypeCounts.from_dict(state["classifier"]["counts"]))
+        self.with_communities += int(state["with_communities"])
+        self.unique_16bit.update(state["unique_16bit"])
 
 
 @collector
@@ -260,49 +323,22 @@ class CommunityPrevalenceCollector(MetricCollector):
     supports_merge = True
 
     def __init__(self):
-        self._announcements = 0
-        self._with_communities = 0
-        self._unique_16bit = set()
-        self._seen_sets: set = set()
+        self._communities = _CommunityTally()
 
     def observe(self, observation, announcement_type) -> None:
-        if not observation.is_announcement:
-            return
-        self._announcements += 1
-        communities = observation.communities
-        if communities.is_empty():
-            return
-        self._with_communities += 1
-        if communities not in self._seen_sets:
-            self._seen_sets.add(communities)
-            self._unique_16bit.update(
-                community.value for community in communities.classic
-            )
+        if observation.is_announcement:
+            self._communities.add(observation.communities)
 
     def finish(self) -> dict:
-        share = (
-            self._with_communities / self._announcements
-            if self._announcements
-            else 0.0
+        return self._communities.metrics(
+            self.context.type_counts.announcements_total
         )
-        return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "community_share": share,
-            "unique_16bit_communities": len(self._unique_16bit),
-        }
 
     def export_state(self) -> dict:
-        return {
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "unique_16bit": sorted(self._unique_16bit),
-        }
+        return self._communities.export_state()
 
     def merge_state(self, state: dict) -> None:
-        self._announcements += int(state["announcements"])
-        self._with_communities += int(state["with_communities"])
-        self._unique_16bit.update(state["unique_16bit"])
+        self._communities.merge_state(state)
 
 
 @collector
@@ -313,14 +349,8 @@ class DuplicatesCollector(MetricCollector):
     name = "duplicates"
     supports_merge = True
 
-    def __init__(self):
-        self._counts = TypeCounts()
-
-    def observe(self, observation, announcement_type) -> None:
-        self._counts.tally(observation, announcement_type)
-
     def finish(self) -> dict:
-        counts = self._counts
+        counts = self.context.type_counts
         total = counts.classified_total
         nn = counts.counts[AnnouncementType.NN]
         nc = counts.counts[AnnouncementType.NC]
@@ -332,12 +362,6 @@ class DuplicatesCollector(MetricCollector):
             "nc_share": nc / total if total else 0.0,
             "spurious_share": (nn + nc) / total if total else 0.0,
         }
-
-    def export_state(self) -> dict:
-        return {"classifier": {"counts": self._counts.to_dict()}}
-
-    def merge_state(self, state: dict) -> None:
-        self._counts.merge(TypeCounts.from_dict(state["classifier"]["counts"]))
 
 
 def _canonical_path(path) -> tuple:
@@ -367,7 +391,8 @@ class Table1Collector(MetricCollector):
 
     Accumulates incrementally instead of buffering every observation,
     so memory tracks the number of *distinct* entities rather than
-    feed length.  Prefixes stay the interned :class:`Prefix` objects,
+    feed length.  Announcement and withdrawal totals come from the
+    shared counts.  Prefixes stay the interned :class:`Prefix` objects,
     stringified only by :meth:`export_state`; sessions and paths are
     kept as canonical tuples.  A shard's whole state thus serializes
     for the parallel-decode merge.
@@ -382,11 +407,7 @@ class Table1Collector(MetricCollector):
         self._ases: set = set()
         self._sessions: set = set()
         self._paths: set = set()
-        self._communities_16bit: set = set()
-        self._seen_sets: set = set()
-        self._announcements = 0
-        self._with_communities = 0
-        self._withdrawals = 0
+        self._communities = _CommunityTally()
         # Decode interning repeats the same ASPath objects for the
         # overwhelming majority of announcements; memoizing their
         # canonical form keeps this collector O(1) per observation.
@@ -403,9 +424,7 @@ class Table1Collector(MetricCollector):
         else:
             self._v6.add(prefix)
         if observation.is_withdrawal:
-            self._withdrawals += 1
             return
-        self._announcements += 1
         path = observation.as_path
         if path is not None:
             canonical = self._canonical_memo.get(path)
@@ -415,32 +434,19 @@ class Table1Collector(MetricCollector):
             if canonical not in self._paths:
                 self._paths.add(canonical)
                 self._ases.update(int(asn) for asn in path.asns())
-        communities = observation.communities
-        if not communities.is_empty():
-            self._with_communities += 1
-            if communities not in self._seen_sets:
-                self._seen_sets.add(communities)
-                self._communities_16bit.update(
-                    community.value for community in communities.classic
-                )
+        self._communities.add(observation.communities)
 
     def finish(self) -> dict:
-        announcements = self._announcements
-        share = (
-            self._with_communities / announcements if announcements else 0.0
-        )
+        counts = self.context.type_counts
         return {
             "ipv4_prefixes": len(self._v4),
             "ipv6_prefixes": len(self._v6),
             "ases": len(self._ases),
             "sessions": len(self._sessions),
             "peers": len({session[1] for session in self._sessions}),
-            "announcements": announcements,
-            "with_communities": self._with_communities,
-            "unique_16bit_communities": len(self._communities_16bit),
+            **self._communities.metrics(counts.announcements_total),
             "unique_as_paths": len(self._paths),
-            "withdrawals": self._withdrawals,
-            "community_share": share,
+            "withdrawals": counts.withdrawals,
         }
 
     def export_state(self) -> dict:
@@ -449,14 +455,10 @@ class Table1Collector(MetricCollector):
             "v6": sorted(str(prefix) for prefix in self._v6),
             "ases": sorted(self._ases),
             "sessions": sorted(list(item) for item in self._sessions),
-            "peers": sorted({session[1] for session in self._sessions}),
             "paths": sorted(
                 [list(segment) for segment in path] for path in self._paths
             ),
-            "communities_16bit": sorted(self._communities_16bit),
-            "announcements": self._announcements,
-            "with_communities": self._with_communities,
-            "withdrawals": self._withdrawals,
+            "communities": self._communities.export_state(),
         }
 
     def merge_state(self, state: dict) -> None:
@@ -468,17 +470,7 @@ class Table1Collector(MetricCollector):
             tuple(tuple(segment) for segment in path)
             for path in state["paths"]
         )
-        self._communities_16bit.update(state["communities_16bit"])
-        self._announcements += int(state["announcements"])
-        self._with_communities += int(state["with_communities"])
-        self._withdrawals += int(state["withdrawals"])
-
-
-def _total(parts: "Iterable[TypeCounts]") -> TypeCounts:
-    total = TypeCounts()
-    for part in parts:
-        total.merge(part)
-    return total
+        self._communities.merge_state(state["communities"])
 
 
 def _shares(counts: TypeCounts) -> dict:
@@ -487,26 +479,22 @@ def _shares(counts: TypeCounts) -> dict:
 
 @collector
 class Table2Collector(MetricCollector):
-    """The paper's Table 2 announcement-type shares (full + beacons)."""
+    """The paper's Table 2 announcement-type shares (full + beacons).
+
+    The full column is the shared counts.  Types are per
+    (session, prefix) stream, so the beacon column is exactly the sum
+    over beacon prefixes, which are learnt only at finish: that column
+    alone needs a per-prefix tally.
+    """
 
     name = "table2"
     #: Mergeable for MRT replays: no simulation means no beacon
-    #: schedule, so the beacon subset is vacuously empty and only the
-    #: full-feed counts need to travel.
+    #: schedule, so the beacon column is vacuously empty and nothing
+    #: beyond the shared counts needs to travel.
     supports_merge = True
 
     def __init__(self):
-        # Types are per (session, prefix) stream, so the beacon column
-        # is exactly the sum over beacon prefixes, learnt at finish.
         self._by_prefix: "Dict[Prefix, TypeCounts]" = {}
-        self._merged = TypeCounts()
-        self._context: "Optional[ScenarioContext]" = None
-
-    def start(self, context: ScenarioContext) -> None:
-        # Keep the reference, not a copy: under live streaming the
-        # engine fills in beacon prefixes only once the simulation has
-        # scheduled them, which is after start() fires.
-        self._context = context
 
     def observe(self, observation, announcement_type) -> None:
         counts = self._by_prefix.get(observation.prefix)
@@ -514,28 +502,18 @@ class Table2Collector(MetricCollector):
             counts = self._by_prefix[observation.prefix] = TypeCounts()
         counts.tally(observation, announcement_type)
 
-    def _full(self) -> TypeCounts:
-        return _total([self._merged, *self._by_prefix.values()])
-
     def finish(self) -> dict:
-        full = self._full()
-        beacons = self._context.beacon_prefixes if self._context else ()
-        beacon = _total(
-            counts
-            for prefix, counts in self._by_prefix.items()
-            if prefix in beacons
-        )
+        full = self.context.type_counts
+        beacons = self.context.beacon_prefixes
+        beacon = TypeCounts()
+        for prefix, counts in self._by_prefix.items():
+            if prefix in beacons:
+                beacon.merge(counts)
         return {
             "full_shares": _shares(full),
             "beacon_shares": _shares(beacon) if beacons else None,
             "classified": full.classified_total,
         }
-
-    def export_state(self) -> dict:
-        return {"full": self._full().to_dict()}
-
-    def merge_state(self, state: dict) -> None:
-        self._merged.merge(TypeCounts.from_dict(state["full"]))
 
 
 @collector
@@ -553,8 +531,7 @@ class DampingReplayCollector(MetricCollector):
         from repro.simulator.damping import RouteDamper
 
         self._damper = RouteDamper()
-        self._passed = TypeCounts()
-        self._suppressed = TypeCounts()
+        self._damped = dict.fromkeys(TYPE_ORDER, 0)
 
     def observe(self, observation, announcement_type) -> None:
         key = str(observation.session)
@@ -578,20 +555,17 @@ class DampingReplayCollector(MetricCollector):
         if self._damper.is_suppressed(
             key, observation.prefix, observation.timestamp
         ):
-            self._suppressed.add(announcement_type)
-        else:
-            self._passed.add(announcement_type)
+            self._damped[announcement_type] += 1
 
     def finish(self) -> dict:
-        damped = self._suppressed.classified_total
-        total = self._passed.classified_total + damped
+        damped = sum(self._damped.values())
+        total = self.context.type_counts.classified_total
         return {
             "announcements": total,
             "damped": damped,
             "damped_share": damped / total if total else 0.0,
             "damped_by_type": {
-                kind.value: self._suppressed.counts[kind]
-                for kind in TYPE_ORDER
+                kind.value: count for kind, count in self._damped.items()
             },
             "suppress_events": self._damper.suppressions,
             "releases": self._damper.releases,

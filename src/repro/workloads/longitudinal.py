@@ -20,7 +20,7 @@ harness scales up when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.analysis.classify import UpdateClassifier
 from repro.analysis.longitudinal import DailySnapshot, LongitudinalSeries
@@ -170,8 +170,3 @@ class LongitudinalRunner:
         for day_start in self.days:
             series.add(self.run_day(day_start))
         return series
-
-    def iter_snapshots(self) -> Iterator[DailySnapshot]:
-        """Generator variant for incremental reporting."""
-        for day_start in self.days:
-            yield self.run_day(day_start)

@@ -208,18 +208,83 @@ class TestJournalLifecycle:
             run_scenario_json(spec_to_json(spec), str(worker))
         assert self.events(cli) == self.events(worker) == ["start", "fail"]
 
-    def test_any_run_failure_is_journaled(self, tmp_path, small_archive):
+    def test_any_run_failure_is_journaled(
+        self, tmp_path, small_archive, capsys
+    ):
         # Not just validation errors: a strict replay of a damaged
-        # archive fails mid-run, and the journal still says so.
-        from repro.mrt.records import MRTError
-
+        # archive fails mid-run (exit 3), and the journal still says so.
         damaged = tmp_path / "damaged.mrt"
         damaged.write_bytes(open(small_archive, "rb").read()[:-3])
         cli = tmp_path / "cli.jsonl"
         argv = ["scenario", "run", "mrt-replay-strict", "--input"]
-        with pytest.raises(MRTError):
-            main([*argv, str(damaged), "--journal", str(cli)])
+        assert main([*argv, str(damaged), "--journal", str(cli)]) == 3
         assert self.events(cli) == ["start", "fail"]
+
+
+class TestInputDataErrors:
+    """Undecodable input exits 3 with one stderr line; bugs still raise."""
+
+    @pytest.fixture
+    def truncated(self, tmp_path, small_archive):
+        damaged = tmp_path / "truncated.mrt"
+        damaged.write_bytes(open(small_archive, "rb").read()[:-7])
+        return str(damaged)
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_strict_replay_of_truncated_archive(
+        self, truncated, workers, capsys
+    ):
+        from repro.obs import metrics as obs_metrics
+        from repro.pipeline.parallel import FALLBACK_COUNTER
+
+        argv = ["scenario", "run", "mrt-replay-strict", "--input", truncated]
+        if workers is not None:
+            argv += ["--workers", workers]
+        with obs_metrics.enabled_scope():
+            assert main(argv) == 3
+            fallbacks = obs_metrics.registry().counter_value(
+                FALLBACK_COUNTER
+            )
+        # Sharding cannot index a cut archive: it falls back to the
+        # serial decode, which then reports the damage.
+        assert fallbacks == (1 if workers else 0)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cannot decode {truncated}: truncated MRT record body"
+        ]
+
+    def test_preset_reports_input_data_errors(
+        self, truncated, monkeypatch, capsys
+    ):
+        # classify replays tolerantly; make the reader raise on damage
+        # as a strict replay does.
+        from repro.mrt.reader import MRTReader
+        from repro.mrt.records import MRTError
+
+        def damaged(self, reason):
+            raise MRTError(reason)
+
+        monkeypatch.setattr(MRTReader, "_damaged", damaged)
+        assert main(["classify", truncated]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert truncated in captured.err
+
+    def test_collector_bug_is_not_an_input_error(
+        self, small_archive, monkeypatch
+    ):
+        from repro.scenarios.collectors import Table1Collector
+
+        def broken(self, observation, announcement_type):
+            raise ValueError("collector bug")
+
+        monkeypatch.setattr(Table1Collector, "observe", broken)
+        argv = ["scenario", "run", "mrt-replay-strict", "--input"]
+        with pytest.raises(ValueError, match="collector bug") as raised:
+            main([*argv, small_archive])
+        assert type(raised.value) is ValueError
 
 
 class TestScenarioParser:

@@ -34,6 +34,7 @@ from repro.pipeline.stream import replay_mrt
 from repro.scenarios import (
     ScenarioValidationError,
     get_scenario,
+    make_collectors,
     run_scenario,
 )
 from repro.scenarios.spec import MrtSpec, ScenarioSpec
@@ -105,14 +106,30 @@ def spill_archive(tmp_path_factory):
     return str(target)
 
 
-def classifier_outcome(path, workers=None):
-    """(exported classifier state, reader stats) for one replay."""
-    classifier = UpdateClassifier()
+def classifier_outcome(path, workers=None, shard_stats=None):
+    """(§5 counts, reader stats) for one replay.
+
+    The serial reference is a bare classifier.  A sharded replay needs
+    a collector proxy, the one sink the parallel decode shards: with
+    only ``update_counts`` attached it carries the classifier's counts
+    and nothing else.  *shard_stats* receives one row per shard.
+    """
+    if workers is not None and workers > 1:
+        sink = make_collectors(["update_counts"])
+        counts = sink.type_counts
+    else:
+        sink = UpdateClassifier()
+        counts = sink.counts
     stats = {}
     replay_mrt(
-        path, classifier, collector="rrc00", stats=stats, workers=workers
+        path,
+        sink,
+        collector="rrc00",
+        stats=stats,
+        workers=workers,
+        shard_stats=shard_stats,
     )
-    return classifier.export_state(), stats
+    return counts.to_dict(), stats
 
 
 # ----------------------------------------------------------------------
@@ -251,21 +268,39 @@ class TestShardedReplayIdentity:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_k_shard_merge_matches_serial(self, spill_archive, workers):
         serial_state, serial_stats = classifier_outcome(spill_archive)
+        shard_stats = []
         sharded_state, sharded_stats = classifier_outcome(
-            spill_archive, workers=workers
+            spill_archive, workers=workers, shard_stats=shard_stats
         )
+        # One row per planned shard: the sharded path really ran.
+        shards = len(plan_shards(spill_archive, workers).shards)
+        assert shards > 1
+        assert [row["shard"] for row in shard_stats] == list(range(shards))
         assert json.dumps(sharded_state, sort_keys=True) == json.dumps(
             serial_state, sort_keys=True
         )
         assert sharded_stats == serial_stats
 
+    def test_bare_classifier_does_not_shard(self, archive, monkeypatch):
+        # Only a collector proxy shards; any other sink is serial.
+        from repro.pipeline import parallel
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a bare classifier must not plan shards")
+
+        monkeypatch.setattr(parallel, "plan_shards", no_plan)
+        shard_stats = []
+        replay_mrt(
+            archive, UpdateClassifier(), workers=2, shard_stats=shard_stats
+        )
+        assert shard_stats == []
+
     def test_shard_stats_rows_sum_to_totals(self, archive):
-        classifier = UpdateClassifier()
         stats = {}
         shard_stats = []
         replay_mrt(
             archive,
-            classifier,
+            make_collectors(["update_counts"]),
             collector="rrc00",
             stats=stats,
             workers=2,
@@ -281,15 +316,17 @@ class TestShardedReplayIdentity:
         )
 
     def test_decode_shard_phase_recorded(self, archive):
+        shard_stats = []
         with obs_metrics.enabled_scope():
             obs_metrics.reset_metrics()
-            classifier_outcome(archive, workers=2)
+            classifier_outcome(archive, workers=2, shard_stats=shard_stats)
             phases = obs_metrics.registry().phase_seconds()
             fallbacks = obs_metrics.registry().counter_value(
                 FALLBACK_COUNTER
             )
         assert "mrt.decode.shard" in phases
         assert fallbacks == 0
+        assert len(shard_stats) == 2
 
 
 # ----------------------------------------------------------------------
@@ -303,15 +340,17 @@ class TestDamagedArchiveFallback:
         damaged = tmp_path / "damaged.mrt"
         damaged.write_bytes(blob[:-5])
         serial_state, serial_stats = classifier_outcome(str(damaged))
+        shard_stats = []
         with obs_metrics.enabled_scope():
             obs_metrics.reset_metrics()
             sharded_state, sharded_stats = classifier_outcome(
-                str(damaged), workers=2
+                str(damaged), workers=2, shard_stats=shard_stats
             )
             fallbacks = obs_metrics.registry().counter_value(
                 FALLBACK_COUNTER
             )
         assert fallbacks == 1
+        assert shard_stats == []
         assert sharded_state == serial_state
         assert sharded_stats == serial_stats
 
@@ -320,7 +359,9 @@ class TestDamagedArchiveFallback:
         # must surface the same error the serial path raises.
         missing = str(tmp_path / "nope.mrt")
         with pytest.raises(OSError):
-            replay_mrt(missing, UpdateClassifier(), workers=2)
+            replay_mrt(
+                missing, make_collectors(["update_counts"]), workers=2
+            )
 
 
 # ----------------------------------------------------------------------

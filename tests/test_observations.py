@@ -6,11 +6,9 @@ from repro.analysis.observations import (
     SessionKey,
     explode_update,
     group_into_streams,
-    peer_ases,
-    sessions_of,
 )
 from repro.bgp import ASPath, CommunitySet, PathAttributes, UpdateMessage
-from repro.netbase import ASN, Prefix
+from repro.netbase import Prefix
 
 SESSION = SessionKey("rrc00", 20205, "10.0.0.1")
 
@@ -87,15 +85,6 @@ class TestGrouping:
         assert len(streams) == 2
         own = streams[(SESSION, Prefix("10.0.0.0/8"))]
         assert [obs.timestamp for obs in own] == [1.0, 3.0]
-
-    def test_helpers(self):
-        other = SessionKey("rrc00", 3356, "10.0.0.2")
-        feed = [
-            self._observation(SESSION, "10.0.0.0/8", 1.0),
-            self._observation(other, "11.0.0.0/8", 2.0),
-        ]
-        assert peer_ases(feed) == {ASN(20205), ASN(3356)}
-        assert sessions_of(feed) == {SESSION, other}
 
     def test_session_key_str(self):
         assert str(SESSION) == "rrc00:20205@10.0.0.1"

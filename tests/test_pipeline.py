@@ -17,21 +17,14 @@ from repro.analysis.classify import (
     AnnouncementType,
     UpdateClassifier,
 )
-from repro.analysis.observations import (
-    StreamGrouper,
-    group_into_streams,
-    observations_from_collector,
-)
+from repro.analysis.observations import observations_from_collector
 from repro.pipeline import (
-    CallbackSink,
-    CountingSink,
     ListArchive,
     MrtSpillArchive,
     ObservationStream,
     PipelineStop,
     RingArchive,
     SequenceView,
-    Tee,
     make_archive,
     parse_archive_policy,
     replay_mrt,
@@ -86,27 +79,6 @@ class TestSequenceView:
         assert SequenceView([1, 2]) != [2, 1]
 
 
-class TestTeeAndCounting:
-    def test_fan_out_order_and_close(self):
-        seen = []
-        tee = Tee()
-        tee.attach(CallbackSink(lambda item: seen.append(("a", item))))
-        counter = tee.attach(CountingSink())
-        tee.push(1)
-        tee.push(2)
-        tee.close()
-        assert seen == [("a", 1), ("a", 2)]
-        assert counter.count == 2
-
-    def test_detach(self):
-        counter = CountingSink()
-        tee = Tee([counter])
-        tee.push(1)
-        tee.detach(counter)
-        tee.push(2)
-        assert counter.count == 1
-
-
 class TestArchives:
     def test_ring_bounds_memory(self):
         ring = RingArchive(3)
@@ -134,7 +106,7 @@ class TestArchives:
 
 
 # ----------------------------------------------------------------------
-# incremental grouper / cleaner equivalence
+# incremental cleaner equivalence
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_day():
@@ -153,22 +125,6 @@ def tiny_observations(tiny_day):
     return observations
 
 
-class TestStreamGrouper:
-    def test_matches_batch_grouping(self, tiny_observations):
-        grouper = StreamGrouper()
-        for observation in tiny_observations:
-            grouper.push(observation)
-        assert grouper.streams == group_into_streams(tiny_observations)
-        assert grouper.observations == len(tiny_observations)
-
-    def test_push_returns_stream_key(self, tiny_observations):
-        grouper = StreamGrouper()
-        first = tiny_observations[0]
-        key = grouper.push(first)
-        assert key == first.stream_key()
-        assert grouper.stream(key) == [first]
-
-
 class TestCleaningStreaming:
     def test_stream_matches_run_bit_identically(self, tiny_observations):
         pipeline = CleaningPipeline()
@@ -181,11 +137,11 @@ class TestCleaningStreaming:
     def test_sink_form_matches_run(self, tiny_observations):
         pipeline = CleaningPipeline(max_prefix_length_v4=24)
         batch, batch_report = pipeline.run(tiny_observations)
-        out = []
-        sink = pipeline.sink(CallbackSink(out.append))
+        out = ListArchive()
+        sink = pipeline.sink(out)
         for observation in tiny_observations:
             sink.push(observation)
-        assert out == batch
+        assert list(out.retained) == batch
         assert sink.report == batch_report
 
     def test_whole_second_disambiguation_streams(self, tiny_observations):
@@ -220,9 +176,10 @@ class TestCollectorSinks:
         config = internet_config_from_spec(get_scenario("topology-tiny"))
         BGPSession._counter = 0
         model = InternetModel(config)
-        live = []
-        model.attach_collector_sink(CallbackSink(live.append))
+        sink = ListArchive()
+        model.attach_collector_sink(sink)
         day = model.run()
+        live = list(sink.retained)
         archived = []
         for collector in day.collectors():
             archived.extend(collector.records)
@@ -240,7 +197,7 @@ class TestCollectorSinks:
         model = InternetModel(config)
         model.build()
         with pytest.raises(RuntimeError):
-            model.attach_collector_sink(CountingSink())
+            model.attach_collector_sink(ListArchive())
 
     def test_ring_policy_bounds_collector_memory(self):
         config = internet_config_from_spec(get_scenario("topology-tiny"))

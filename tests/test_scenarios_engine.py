@@ -138,6 +138,64 @@ class TestInternetEquivalence:
         assert baseline.metrics != reseeded.metrics
 
 
+class TestCollectorIndependence:
+    """Each collector alone reports what it reports in the full stack.
+
+    Collectors derive their counts from the proxy's one tally, so a
+    collector that quietly depended on another one being attached
+    would differ here.
+    """
+
+    @staticmethod
+    def alone_and_together(spec):
+        from dataclasses import replace
+
+        from repro.scenarios.registry import INTERNET_COLLECTORS
+        from repro.simulator.session import BGPSession
+
+        def run(collectors):
+            BGPSession._counter = 0
+            return run_scenario(replace(spec, collectors=collectors))
+
+        together = run(INTERNET_COLLECTORS)
+        alone = {name: run((name,)) for name in INTERNET_COLLECTORS}
+        assert {
+            name: result.metrics[name] for name, result in alone.items()
+        } == together.metrics
+        return [together, *alone.values()]
+
+    def test_live_topology_tiny(self):
+        self.alone_and_together(get_scenario("topology-tiny"))
+
+    def test_sharded_mrt_replay(self, tmp_path):
+        import os
+        from dataclasses import replace
+
+        from repro.simulator.session import BGPSession
+
+        tiny = get_scenario("topology-tiny")
+        BGPSession._counter = 0
+        spilled = run_scenario(
+            replace(
+                tiny,
+                internet=replace(tiny.internet, archive_policy="mrt-spill"),
+            )
+        )
+        path = str(tmp_path / "tiny.mrt")
+        name, source = sorted(spilled.spill_paths.items())[0]
+        os.replace(source, path)
+        for other in spilled.spill_paths.values():
+            if os.path.exists(other):
+                os.unlink(other)
+        base = get_scenario("mrt-replay")
+        spec = replace(
+            base,
+            mrt=replace(base.mrt, path=path, collector=name, decode_workers=2),
+        )
+        for result in self.alone_and_together(spec):
+            assert len(result.shard_stats) == 2
+
+
 class TestConfigMapping:
     def test_small_base_matches_seed_configuration(self):
         spec = get_scenario("internet-small")
